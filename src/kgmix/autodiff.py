@@ -90,11 +90,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 class Tape:
-    """Records a forward pass; replays it in reverse for gradients."""
+    """Records a forward pass; replays it in reverse for gradients.
+
+    As a context manager it drops its nodes on exit: they point back at the
+    tape, so otherwise their arrays wait for the cyclic garbage collector.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self._param_nodes: dict[int, Node] = {}
+
+    def __enter__(self) -> Tape:
+        return self
+
+    def __exit__(self, *exc):
+        self.nodes.clear()
+        self._param_nodes.clear()
 
     def _record(self, op, value, parents=(), ctx=None, param=None) -> Node:
         node = Node(self, len(self.nodes), op, value, tuple(parents), ctx, param)

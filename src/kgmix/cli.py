@@ -156,15 +156,8 @@ def cmd_eval(args) -> int:
         scorer.scores, store, args.split, args.rank_mode, candidates
     )
     nll = eval_mod.filtered_nll(scorer.log_probs, store, args.split, nll_filter)
-    report = ranks.to_dict()
-    report.update(
-        {
-            "mean_filtered_nll": nll.mean_nll,
-            "nll_filter": list(nll.filter_splits),
-            "nll_skipped": nll.n_skipped,
-            "checkpoint": args.checkpoint,
-        }
-    )
+    report = eval_mod.summarize(ranks, nll)
+    report["checkpoint"] = args.checkpoint
     _emit(report, args.out)
     if args.per_query:
         with open(args.per_query, "w", encoding="utf-8") as fh:

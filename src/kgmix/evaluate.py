@@ -5,14 +5,18 @@ Ranks follow the filtered protocol: every other true object of the same
 true object's rank is taken.  The optimistic rank counts strictly greater
 scores; the pessimistic rank also counts ties, so a constant score row
 yields rank 1 versus rank |pool|.
+
+Both metrics come from one batch kernel, _filtered_pass; filtered_rank
+is its one-row reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .graph import TripleStore, build_query_index
+from .graph import TripleStore, filter_rows, triple_array
 
 HITS_AT = (1, 3, 10)
 
@@ -81,45 +85,25 @@ def ranking_metrics(
     score_fn(subjects, relations) must return a (batch, n_entities) array.
     candidates, when given, is one entity-id list per triple of the split;
     ranking is then restricted to those candidates plus the true object,
-    with known-true candidates still filtered out.
+    with known-true candidates still filtered out.  A candidate id outside
+    [0, n_entities) raises ValueError.
     """
+    if rank_mode not in ("optimistic", "pessimistic"):
+        raise ValueError(f"unknown rank mode {rank_mode!r}")
+    ranks, _ = _filtered_pass(
+        score_fn, store, split, filter_splits, batch_size, rank_mode, candidates
+    )
     triples = store.split(split)
-    if not triples:
-        raise ValueError(f"split {split!r} is empty")
-    if candidates is not None and len(candidates) != len(triples):
-        raise ValueError("need exactly one candidate list per triple")
-    index = build_query_index(store, filter_splits)
-
-    ranks = np.empty(len(triples), dtype=np.int64)
-    per_query = []
-    for start in range(0, len(triples), batch_size):
-        chunk = triples[start : start + batch_size]
-        subs = np.array([t[0] for t in chunk], dtype=np.int64)
-        rels = np.array([t[1] for t in chunk], dtype=np.int64)
-        z = np.asarray(score_fn(subs, rels), dtype=np.float64)
-        if z.shape != (len(chunk), store.n_entities):
-            raise ValueError(
-                f"score_fn returned {z.shape}, expected "
-                f"({len(chunk)}, {store.n_entities})"
-            )
-        for i, (s, r, o) in enumerate(chunk):
-            drop = set(index.get(s, r))
-            drop.discard(o)
-            if candidates is not None:
-                pool = set(candidates[start + i])
-                pool.add(o)
-                drop |= set(range(store.n_entities)) - pool
-            rank = filtered_rank(z[i], o, sorted(drop), mode=rank_mode)
-            ranks[start + i] = rank
-            per_query.append({"s": s, "r": r, "o": o, "rank": int(rank)})
-
-    rr = 1.0 / ranks
+    per_query = [
+        {"s": s, "r": r, "o": o, "rank": k}
+        for (s, r, o), k in zip(triples, ranks.tolist())
+    ]
     hits = {k: float((ranks <= k).mean()) for k in HITS_AT}
     return EvalReport(
         split=split,
         rank_mode=rank_mode,
         n_queries=len(triples),
-        mrr=float(rr.mean()),
+        mrr=float((1.0 / ranks).mean()),
         mr=float(ranks.mean()),
         hits=hits,
         per_query=per_query,
@@ -161,50 +145,32 @@ def filtered_nll(
     A query whose true object is itself excluded by the filter is skipped
     and counted, not scored.
     """
-    triples = store.split(split)
-    if not triples:
-        raise ValueError(f"split {split!r} is empty")
-    index = build_query_index(store, filter_splits)
-
-    per_query = []
-    total = 0.0
-    skipped = 0
-    for start in range(0, len(triples), batch_size):
-        chunk = triples[start : start + batch_size]
-        subs = np.array([t[0] for t in chunk], dtype=np.int64)
-        rels = np.array([t[1] for t in chunk], dtype=np.int64)
-        logp = np.asarray(logp_fn(subs, rels), dtype=np.float64)
-        if logp.shape != (len(chunk), store.n_entities):
-            raise ValueError(
-                f"logp_fn returned {logp.shape}, expected "
-                f"({len(chunk)}, {store.n_entities})"
-            )
-        for i, (s, r, o) in enumerate(chunk):
-            drop = index.get(s, r)
-            if o in drop:
-                skipped += 1
-                per_query.append({"s": s, "r": r, "o": o, "skipped": True})
-                continue
-            row = logp[i]
-            keep = np.ones(row.size, dtype=bool)
-            if drop:
-                keep[np.asarray(drop, dtype=np.int64)] = False
-            kept = row[keep]
-            mx = kept.max()
-            lse = mx + np.log(np.exp(kept - mx).sum())
-            nll = -(row[o] - lse)
-            total += nll
-            per_query.append({"s": s, "r": r, "o": o, "nll": float(nll)})
-
-    n_scored = len(triples) - skipped
+    nll, skipped = _filtered_pass(logp_fn, store, split, filter_splits, batch_size)
+    rows = zip(store.split(split), nll.tolist(), skipped.tolist())
+    per_query = [
+        {"s": s, "r": r, "o": o, "skipped": True} if skip
+        else {"s": s, "r": r, "o": o, "nll": v}
+        for (s, r, o), v, skip in rows
+    ]
+    scored = nll[~skipped]
     return NllReport(
         split=split,
         filter_splits=tuple(filter_splits),
-        n_scored=n_scored,
-        n_skipped=skipped,
-        mean_nll=total / n_scored if n_scored else float("nan"),
+        n_scored=int(scored.size),
+        n_skipped=int(skipped.sum()),
+        mean_nll=float(scored.mean()) if scored.size else float("nan"),
         per_query=per_query,
     )
+
+
+def summarize(ranks: EvalReport, nll: NllReport) -> dict:
+    """One dict with a ranking report's metrics and an NLL report's mean."""
+    return {
+        **ranks.to_dict(),
+        "mean_filtered_nll": nll.mean_nll,
+        "nll_filter": list(nll.filter_splits),
+        "nll_skipped": nll.n_skipped,
+    }
 
 
 def evaluate_model(
@@ -223,12 +189,76 @@ def evaluate_model(
     nll = filtered_nll(
         scorer.log_probs, store, split, nll_filter_splits, batch_size=batch_size
     )
-    out = ranks.to_dict()
-    out.update(
-        {
-            "mean_filtered_nll": nll.mean_nll,
-            "nll_filter": list(nll.filter_splits),
-            "nll_skipped": nll.n_skipped,
-        }
-    )
+    return summarize(ranks, nll)
+
+
+def _candidate_rows(candidates, n_triples: int, n_entities: int):
+    """Candidate-id lists as CSR rows (ptr, cols), one row per triple."""
+    if len(candidates) != n_triples:
+        raise ValueError("need exactly one candidate list per triple")
+    ptr = np.cumsum([0, *map(len, candidates)])
+    cols = np.fromiter(chain.from_iterable(candidates), dtype=np.int64, count=ptr[-1])
+    if cols.size and (cols.min() < 0 or cols.max() >= n_entities):
+        raise ValueError(f"candidate entity id outside [0, {n_entities})")
+    return ptr, cols
+
+
+def _mask(out: np.ndarray, rows, start: int, stop: int, value: bool) -> np.ndarray:
+    """Fill out with value in CSR rows start..stop-1 of rows, not value elsewhere."""
+    ptr, cols = rows
+    out.fill(not value)
+    which = np.repeat(np.arange(stop - start), np.diff(ptr[start : stop + 1]))
+    out[which, cols[ptr[start] : ptr[stop]]] = value
     return out
+
+
+def _filtered_pass(fn, store, split, filter_splits, batch_size,
+                   rank_mode=None, candidates=None):
+    """Per triple of the split: the true object's rank (with a rank_mode)
+    or negative log-probability (without) among the entities its row keeps,
+    and whether the filter holds the true object itself.
+
+    fn(subjects, relations) gives one (batch, n_entities) row per triple,
+    never written to.  A row keeps the true object and every entity that is
+    neither a true object in filter_splits nor outside the triple's pool.
+    """
+    triples = store.split(split)
+    if not triples:
+        raise ValueError(f"split {split!r} is empty")
+    subs, rels, objs = triple_array(triples).T
+    n, n_ent = len(triples), store.n_entities
+    filt = filter_rows(store, filter_splits, subs, rels)
+    pools = None if candidates is None else _candidate_rows(candidates, n, n_ent)
+
+    width = min(batch_size, n)
+    keep, pool = np.empty((2, width, n_ent), dtype=bool)
+    work = np.empty((width, n_ent), dtype=bool if rank_mode else np.float64)
+    values = np.empty(n, dtype=np.int64 if rank_mode else np.float64)
+    known = np.empty(n, dtype=bool)
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        m = stop - start
+        rows, o = np.arange(m), objs[start:stop]
+        z = np.asarray(fn(subs[start:stop], rels[start:stop]), dtype=np.float64)
+        if z.shape != (m, n_ent):
+            raise ValueError(f"scores have shape {z.shape}, expected ({m}, {n_ent})")
+        k = _mask(keep[:m], filt, start, stop, False)
+        known[start:stop] = ~k[rows, o]
+        k[rows, o] = True
+        if pools is not None:
+            k &= _mask(pool[:m], pools, start, stop, True)
+        w = work[:m]
+        if rank_mode:
+            beats = np.greater if rank_mode == "optimistic" else np.greater_equal
+            beats(z, z[rows, o][:, None], out=w)
+            w &= k
+            w[rows, o] = False
+            values[start:stop] = 1 + np.count_nonzero(w, axis=1)
+        else:
+            w.fill(-np.inf)
+            np.copyto(w, z, where=k)
+            mx = w.max(axis=1, keepdims=True)
+            w -= mx
+            np.exp(w, out=w)
+            values[start:stop] = mx[:, 0] + np.log(w.sum(axis=1)) - z[rows, o]
+    return values, known

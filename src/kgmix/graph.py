@@ -10,7 +10,10 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from statistics import median
+
+import numpy as np
 
 Triple = tuple[int, int, int]
 
@@ -205,6 +208,31 @@ def build_query_index(store: TripleStore, splits=("train",)) -> QueryIndex:
         grouped.setdefault((s, r), set()).add(o)
     objects = {q: sorted(v) for q, v in grouped.items()}
     return QueryIndex(objects=objects, splits=tuple(splits))
+
+
+def triple_array(triples: list[Triple]) -> np.ndarray:
+    """Triples as an (n, 3) int64 array of (subject, relation, object) rows."""
+    flat = chain.from_iterable(triples)
+    return np.fromiter(flat, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
+
+
+def filter_rows(store: TripleStore, splits, subjects, relations):
+    """The sorted unique true objects of each query (subjects[i],
+    relations[i]) in the given splits, as CSR rows cols[ptr[i]:ptr[i + 1]].
+
+    Sorts the splits' (s*R + r)*N + o keys once and brackets each query's
+    key range with searchsorted, so no per-query Python work is done.
+    """
+    n_ent, n_rel = store.n_entities, store.n_relations
+    t = triple_array(store.all_triples(splits))
+    keys = np.sort((t[:, 0] * n_rel + t[:, 1]) * n_ent + t[:, 2])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    base = (np.asarray(subjects, dtype=np.int64) * n_rel + relations) * n_ent
+    lo = np.searchsorted(keys, base)
+    counts = np.searchsorted(keys, base + n_ent) - lo
+    ptr = np.append(0, np.cumsum(counts))
+    pick = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], counts)
+    return ptr, keys[pick] % n_ent
 
 
 @dataclass

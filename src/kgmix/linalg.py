@@ -1,9 +1,7 @@
-"""Dense float64 matrix kernels shared by the model and analysis code.
+"""Matrix rank, numeric and exact, for certifying rank claims.
 
-Everything here operates on plain 2-D numpy arrays.  The softmax helpers
-are max-shifted so they stay finite for any finite input, and the two rank
-routines are the numeric/exact pair used to certify rank claims: a
-complete-pivoting float elimination and a fractions.Fraction elimination.
+Both routines take plain 2-D arrays: numerical_rank is a complete-pivoting
+float elimination, exact_rank a fractions.Fraction elimination.
 """
 from __future__ import annotations
 
@@ -21,44 +19,6 @@ def as_matrix(values) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-def matmul(a, b, transpose_b: bool = False) -> np.ndarray:
-    """Product a @ b (or a @ b.T) with explicit shape validation."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    inner = b.shape[1] if transpose_b else b.shape[0]
-    if a.shape[1] != inner:
-        raise ValueError(
-            f"inner dimensions disagree: {a.shape} x {b.shape}"
-            f"{'^T' if transpose_b else ''}"
-        )
-    return a @ b.T if transpose_b else a @ b
-
-
-def row_softmax(m) -> np.ndarray:
-    """Row-wise softmax, max-shifted for stability."""
-    m = as_matrix(m)
-    if m.shape[1] == 0:
-        raise ValueError("softmax over zero columns is undefined")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def row_logsumexp(m) -> np.ndarray:
-    """Row-wise log(sum(exp(.))), returned as an (n, 1) column."""
-    m = as_matrix(m)
-    if m.shape[1] == 0:
-        raise ValueError("logsumexp over zero columns is undefined")
-    mx = m.max(axis=1, keepdims=True)
-    return mx + np.log(np.exp(m - mx).sum(axis=1, keepdims=True))
-
-
-def row_log_softmax(m) -> np.ndarray:
-    """Row-wise log-softmax; exp of the result has unit row sums."""
-    m = as_matrix(m)
-    return m - row_logsumexp(m)
 
 
 def numerical_rank(m, rel_tol: float = 1e-8) -> int:

@@ -163,19 +163,20 @@ class Scorer:
         self.mos = mos
         self.slope = slope
 
-    def _forward(self, subjects, relations, want_log: bool) -> np.ndarray:
-        tape = Tape()
-        h = encode(self.model, subjects, relations, tape, training=False,
-                   slope=self.slope)
+    def _head(self, h: Node, tape: Tape, want_log: bool) -> np.ndarray:
         if self.mos is not None:
             e_node = tape.param(self.model.entities)
             return mos_mod.mixture_log_prob(
                 self.mos, h, e_node, tape, training=False, slope=self.slope
             ).value
         z = score_all(self.model, h, tape)
-        if want_log:
-            return tape.row_log_softmax(z).value
-        return z.value
+        return (tape.row_log_softmax(z) if want_log else z).value
+
+    def _forward(self, subjects, relations, want_log: bool) -> np.ndarray:
+        with Tape() as tape:
+            h = encode(self.model, subjects, relations, tape, training=False,
+                       slope=self.slope)
+            return self._head(h, tape, want_log)
 
     def scores(self, subjects, relations) -> np.ndarray:
         return self._forward(subjects, relations, want_log=False)
@@ -185,36 +186,31 @@ class Scorer:
 
     def log_probs_from_states(self, states) -> np.ndarray:
         """Log-probabilities for raw query states H, bypassing the encoder."""
-        tape = Tape()
-        h = tape.constant(states)
-        e_node = tape.param(self.model.entities)
-        if self.mos is not None:
-            return mos_mod.mixture_log_prob(
-                self.mos, h, e_node, tape, training=False, slope=self.slope
-            ).value
-        return tape.row_log_softmax(tape.matmul(h, e_node, transpose_b=True)).value
+        with Tape() as tape:
+            return self._head(tape.constant(states), tape, want_log=True)
 
 
 # ---- checkpoint io ----
 
 
-def _checkpoint_arrays(model: ModelParams, mos) -> list[tuple[str, np.ndarray]]:
+def state_arrays(model: ModelParams, mos=None) -> list[tuple[str, np.ndarray]]:
+    """Every parameter and batch-norm buffer as (name, array), in checkpoint
+    order.  The arrays are the live ones; batch-norm training rebinds its
+    buffers, so take this list at the moment it is read or written."""
     arrays = [(p.name, p.value) for p in model.parameters()]
     if mos is not None:
         arrays.append((mos.omegas.name, mos.omegas.value))
         for i, c in enumerate(mos.components):
-            for p in c.parameters():
-                arrays.append((p.name, p.value))
-            arrays.append((f"mos.c{i}.bn1.running_mean", c.bn1.running_mean))
-            arrays.append((f"mos.c{i}.bn1.running_var", c.bn1.running_var))
-            arrays.append((f"mos.c{i}.bn2.running_mean", c.bn2.running_mean))
-            arrays.append((f"mos.c{i}.bn2.running_var", c.bn2.running_var))
+            arrays += [(p.name, p.value) for p in c.parameters()]
+            for tag, bn in (("bn1", c.bn1), ("bn2", c.bn2)):
+                arrays.append((f"mos.c{i}.{tag}.running_mean", bn.running_mean))
+                arrays.append((f"mos.c{i}.{tag}.running_var", bn.running_var))
     return arrays
 
 
 def save_checkpoint(path: str, model: ModelParams, mos=None, extra: dict | None = None):
     """One JSON header line, then raw '<f8' bytes per array in header order."""
-    arrays = _checkpoint_arrays(model, mos)
+    arrays = state_arrays(model, mos)
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -236,52 +232,54 @@ def save_checkpoint(path: str, model: ModelParams, mos=None, extra: dict | None 
 
 
 def load_checkpoint(path: str):
-    """Rebuild (model, mos, extra) exactly as saved; bit-exact values."""
+    """Rebuild (model, mos, extra) exactly as saved; bit-exact values.
+
+    The header's array list must name exactly the arrays of state_arrays
+    for the model it describes, with the same shapes; anything else raises
+    ValueError naming the array.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ValueError(f"{path}: not a checkpoint ({e})") from e
-        if header.get("format") != CHECKPOINT_MAGIC:
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic")
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported version {header.get('version')}")
         blob = fh.read()
-    values: dict[str, np.ndarray] = {}
-    offset = 0
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        nbytes = n * 8
-        if offset + nbytes > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        values[spec["name"]] = (
-            np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        offset += nbytes
-    if offset != len(blob):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
+    try:
+        model = init_model(header["encoder"], header["n_entities"],
+                           header["n_relations"], header["dim"], seed=header["seed"])
+        mos = (mos_mod.init_mos(header["k"], header["dim"], np.random.default_rng(0))
+               if header["output_layer"] == "mos" else None)
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["arrays"]]
+        extra = header["extra"]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path}: malformed checkpoint header ({e!r})") from e
 
-    model = init_model(
-        header["encoder"],
-        header["n_entities"],
-        header["n_relations"],
-        header["dim"],
-        seed=header["seed"],
-    )
-    for p in model.parameters():
-        p.value[...] = values[p.name]
-    mos = None
-    if header["output_layer"] == "mos":
-        mos = mos_mod.init_mos(header["k"], header["dim"], np.random.default_rng(0))
-        for p in mos.parameters():
-            p.value[...] = values[p.name]
-        for i, c in enumerate(mos.components):
-            c.bn1.running_mean[...] = values[f"mos.c{i}.bn1.running_mean"]
-            c.bn1.running_var[...] = values[f"mos.c{i}.bn1.running_var"]
-            c.bn2.running_mean[...] = values[f"mos.c{i}.bn2.running_mean"]
-            c.bn2.running_var[...] = values[f"mos.c{i}.bn2.running_var"]
-    return model, mos, header["extra"]
+    state = dict(state_arrays(model, mos))
+    shapes = dict(specs)
+    for name in [*state, *shapes]:
+        if name not in state or name not in shapes:
+            what = "missing" if name in state else "unexpected"
+            raise ValueError(f"{path}: {what} array {name!r}")
+        if shapes[name] != state[name].shape:
+            raise ValueError(
+                f"{path}: array {name!r} has shape {list(shapes[name])}, "
+                f"expected {list(state[name].shape)}"
+            )
+    if len(specs) != len(shapes):
+        raise ValueError(f"{path}: an array is listed twice")
+    need = 8 * sum(a.size for a in state.values())
+    if len(blob) < need:
+        raise ValueError(f"{path}: truncated checkpoint")
+    if len(blob) > need:
+        raise ValueError(f"{path}: trailing bytes in checkpoint")
+    offset = 0
+    for name, _ in specs:
+        a = state[name]
+        a[...] = np.frombuffer(blob, "<f8", a.size, offset).reshape(a.shape)
+        offset += 8 * a.size
+    return model, mos, extra

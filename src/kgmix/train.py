@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Node, Tape
 from .evaluate import ranking_metrics
 from .graph import QueryIndex, TripleStore, build_query_index
-from .models import ENCODERS, ModelParams, Scorer, encode, init_model
+from .models import ENCODERS, ModelParams, Scorer, encode, init_model, state_arrays
 from .mos import MosParams, init_mos, mixture_log_prob, plain_log_prob, priors
 
 OUTPUT_LAYERS = ("softmax", "mos")
@@ -156,30 +156,6 @@ class TrainResult:
     config: TrainConfig = field(repr=False, default=None)
 
 
-def _snapshot(model: ModelParams, mos: MosParams | None) -> dict:
-    snap = {p.name: p.value.copy() for p in model.parameters()}
-    if mos is not None:
-        for p in mos.parameters():
-            snap[p.name] = p.value.copy()
-        for i, c in enumerate(mos.components):
-            for tag, bn in (("bn1", c.bn1), ("bn2", c.bn2)):
-                snap[f"mos.c{i}.{tag}.rm"] = bn.running_mean.copy()
-                snap[f"mos.c{i}.{tag}.rv"] = bn.running_var.copy()
-    return snap
-
-
-def _restore(model: ModelParams, mos: MosParams | None, snap: dict):
-    for p in model.parameters():
-        p.value[...] = snap[p.name]
-    if mos is not None:
-        for p in mos.parameters():
-            p.value[...] = snap[p.name]
-        for i, c in enumerate(mos.components):
-            for tag, bn in (("bn1", c.bn1), ("bn2", c.bn2)):
-                bn.running_mean[...] = snap[f"mos.c{i}.{tag}.rm"]
-                bn.running_var[...] = snap[f"mos.c{i}.{tag}.rv"]
-
-
 def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainResult:
     """Train on the store's train split; early-stop on valid filtered MRR.
 
@@ -208,7 +184,7 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
     has_valid = len(store.valid) > 0
 
     history: list[EpochRecord] = []
-    best: tuple[float, int, dict] | None = None
+    best: tuple[float, int, list] | None = None
     bad_epochs = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -222,32 +198,32 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
             rels = np.array([q[1] for q in batch_q], dtype=np.int64)
             labels = query_label_matrix(index, batch_q, store.n_entities)
 
-            tape = Tape()
-            h = encode(
-                model, subs, rels, tape, training=True,
-                dropout=config.dropout, rng=erng, slope=config.leaky_slope,
-            )
-            if mos_params is not None:
-                logp = mixture_log_prob(
-                    mos_params, h, tape.param(model.entities), tape,
-                    training=True, dropout=config.dropout, rng=erng,
-                    slope=config.leaky_slope,
+            with Tape() as tape:
+                h = encode(
+                    model, subs, rels, tape, training=True,
+                    dropout=config.dropout, rng=erng, slope=config.leaky_slope,
                 )
-            else:
-                logp = plain_log_prob(h, tape.param(model.entities), tape)
-            loss = ce_loss(logp, labels, tape)
-            if mos_params is not None and config.entropy_weight > 0:
-                reg = entropy_reg(priors(mos_params, h, tape), tape)
-                loss = tape.subtract(
-                    loss, tape.weighted_sum(reg, config.entropy_weight)
-                )
-            if not np.isfinite(loss.value[0, 0]):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
-                )
-            opt.zero_grad()
-            tape.backward(loss)
-            opt.step()
+                if mos_params is not None:
+                    logp = mixture_log_prob(
+                        mos_params, h, tape.param(model.entities), tape,
+                        training=True, dropout=config.dropout, rng=erng,
+                        slope=config.leaky_slope,
+                    )
+                else:
+                    logp = plain_log_prob(h, tape.param(model.entities), tape)
+                loss = ce_loss(logp, labels, tape)
+                if mos_params is not None and config.entropy_weight > 0:
+                    reg = entropy_reg(priors(mos_params, h, tape), tape)
+                    loss = tape.subtract(
+                        loss, tape.weighted_sum(reg, config.entropy_weight)
+                    )
+                if not np.isfinite(loss.value[0, 0]):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch offset {start}"
+                    )
+                opt.zero_grad()
+                tape.backward(loss)
+                opt.step()
             total += float(loss.value[0, 0]) * len(batch_q)
 
         val_mrr = float("nan")
@@ -268,7 +244,8 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
 
         if has_valid:
             if best is None or val_mrr > best[0]:
-                best = (val_mrr, epoch, _snapshot(model, mos_params))
+                snap = [a.copy() for _, a in state_arrays(model, mos_params)]
+                best = (val_mrr, epoch, snap)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -277,7 +254,8 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
 
     best_epoch = len(history)
     if best is not None:
-        _restore(model, mos_params, best[2])
+        for (_, a), saved in zip(state_arrays(model, mos_params), best[2]):
+            a[...] = saved
         best_epoch = best[1]
     return TrainResult(
         model=model, mos=mos_params, history=history,

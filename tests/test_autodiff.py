@@ -1,6 +1,9 @@
 """Every tape op is certified against central finite differences, plus the
 closed-form softmax cross-entropy gradient and the dropout/batch-norm
 side-effect contracts."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -400,3 +403,18 @@ def test_xavier_uniform_bound_and_determinism():
     assert np.abs(w1).max() >= 0.5 * bound  # actually spreads out
     with pytest.raises(ValueError):
         xavier_uniform(np.random.default_rng(0), (3,))
+
+
+def test_tape_context_drops_its_nodes_on_exit():
+    x = Parameter("x", np.ones((2, 2)))
+    gc.disable()
+    try:
+        with Tape() as tape:
+            node = tape.row_softmax(tape.param(x))
+            assert tape.nodes
+        assert tape.nodes == []
+        ref = weakref.ref(tape)
+        del tape, node
+        assert ref() is None  # no cycle is left for the collector
+    finally:
+        gc.enable()

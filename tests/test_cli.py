@@ -204,6 +204,20 @@ def test_eval_rejects_mismatched_dataset(toy_dir, tmp_path, write_dataset):
     assert rc == 1
 
 
+def test_eval_reports_a_checkpoint_missing_an_array(toy_dir, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert _train(toy_dir, out_dir)[0] == 0
+    path = out_dir / "checkpoint.kgm"
+    head, blob = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["arrays"] = [a for a in header["arrays"] if a["name"] != "relations"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    rc, _ = run_cli(["eval", "--checkpoint", path, "--dataset", toy_dir])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing array 'relations'" in err
+
+
 def test_analyze_bound():
     out = run_json(["analyze", "bound", "--n", 4, "--dim", 2])
     assert out == {"n": 4, "dim": 2, "feasible_sign_bound": 8}

@@ -10,7 +10,7 @@ from kgmix.evaluate import (
     filtered_rank,
     ranking_metrics,
 )
-from kgmix.graph import TripleStore
+from kgmix.graph import TripleStore, build_query_index
 
 
 def test_filtered_rank_basics():
@@ -262,3 +262,123 @@ def test_evaluate_model_combines_reports(toy_store):
     assert out["nll_filter"] == ["train"]
     assert out["hits"]["hits@10"] == ranks.hits[10]
     assert out["nll_skipped"] == nll.n_skipped
+
+
+# ---- the batch kernel against the per-triple loop it replaced ----
+
+
+def _loop_ranks(score_fn, store, split, mode, candidates):
+    """The per-triple filtered-rank loop, one filtered_rank call per triple."""
+    index = build_query_index(store, ("train", "valid", "test"))
+    ranks = []
+    for i, (s, r, o) in enumerate(store.split(split)):
+        z = score_fn(np.array([s]), np.array([r]))[0]
+        drop = set(index.get(s, r))
+        drop.discard(o)
+        if candidates is not None:
+            pool = set(candidates[i])
+            pool.add(o)
+            drop |= set(range(store.n_entities)) - pool
+        ranks.append(filtered_rank(z, o, sorted(drop), mode=mode))
+    return ranks
+
+
+def _loop_nll(logp_fn, store, split, filter_splits):
+    """The per-triple filtered-NLL loop; None marks a skipped triple."""
+    index = build_query_index(store, filter_splits)
+    out = []
+    for s, r, o in store.split(split):
+        drop = index.get(s, r)
+        if o in drop:
+            out.append(None)
+            continue
+        row = logp_fn(np.array([s]), np.array([r]))[0]
+        keep = np.ones(row.size, dtype=bool)
+        if drop:
+            keep[np.asarray(drop, dtype=np.int64)] = False
+        kept = row[keep]
+        mx = kept.max()
+        out.append(-(row[o] - (mx + np.log(np.exp(kept - mx).sum()))))
+    return out
+
+
+def _random_case(seed):
+    """A random store whose splits overlap, integer-valued scores (so ties
+    are common) and candidate pools with duplicates, empty lists, the true
+    object and filtered entities."""
+    rng = np.random.default_rng(seed)
+    n_ent, n_rel = int(rng.integers(4, 13)), int(rng.integers(1, 4))
+
+    def draw(n):
+        t = zip(rng.integers(n_ent, size=n), rng.integers(n_rel, size=n),
+                rng.integers(n_ent, size=n))
+        return list(dict.fromkeys((int(s), int(r), int(o)) for s, r, o in t))
+
+    train = draw(int(rng.integers(10, 60)))
+    valid = draw(int(rng.integers(1, 15)))
+    test = draw(int(rng.integers(1, 25))) + train[:3] + valid[:2]
+    store = TripleStore(
+        entity_names=[f"e{i}" for i in range(n_ent)],
+        relation_names=[f"r{i}" for i in range(n_rel)],
+        train=train, valid=valid, test=list(dict.fromkeys(test)),
+    )
+    table = rng.integers(-2, 3, size=(n_ent, n_rel, n_ent)).astype(np.float64)
+
+    def score_fn(subs, rels):
+        z = table[np.asarray(subs), np.asarray(rels)]
+        z.flags.writeable = False  # the kernel must not write into it
+        return z
+
+    true = _all_true(store)
+    pools = []
+    for s, r, o in store.test:
+        pool = rng.integers(n_ent, size=int(rng.integers(0, 6))).tolist()
+        if rng.random() < 0.4:
+            pool.append(o)
+        if rng.random() < 0.4:
+            pool.append(int(rng.choice(sorted(true[(s, r)]))))
+        if rng.random() < 0.2:
+            pool = []
+        pools.append(pool + pool[:2])
+    return store, score_fn, pools
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("batch_size", [1, 4, 512])
+def test_kernel_ranks_equal_the_per_triple_loop(seed, batch_size):
+    store, score_fn, pools = _random_case(seed)
+    for mode in ("optimistic", "pessimistic"):
+        for cands in (None, pools):
+            rep = ranking_metrics(score_fn, store, "test", rank_mode=mode,
+                                  candidates=cands, batch_size=batch_size)
+            got = [q["rank"] for q in rep.per_query]
+            assert got == _loop_ranks(score_fn, store, "test", mode, cands)
+            assert all(type(k) is int for k in got)
+
+
+@pytest.mark.filterwarnings("error")  # skipped rows must stay finite too
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("batch_size", [1, 4, 512])
+def test_kernel_nll_matches_the_per_triple_loop(seed, batch_size):
+    store, score_fn, _ = _random_case(seed)
+    for filter_splits in (("train",), ("train", "valid"), ("train", "valid", "test")):
+        rep = filtered_nll(score_fn, store, "test", filter_splits, batch_size)
+        want = _loop_nll(score_fn, store, "test", filter_splits)
+        assert [q.get("skipped", False) for q in rep.per_query] == [
+            w is None for w in want
+        ]
+        for q, w in zip(rep.per_query, want):
+            if w is not None:
+                assert type(q["nll"]) is float
+                assert abs(q["nll"] - w) <= 1e-12 * max(1.0, abs(w))
+        assert rep.n_skipped == sum(w is None for w in want)
+
+
+def test_candidate_ids_out_of_range_raise():
+    store, score_fn, pools = _random_case(0)
+    n = store.n_entities
+    for bad in (n, n + 7, -1):
+        cands = [list(p) for p in pools]
+        cands[-1] = cands[-1] + [bad]
+        with pytest.raises(ValueError, match="outside"):
+            ranking_metrics(score_fn, store, "test", candidates=cands)

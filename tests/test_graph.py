@@ -12,6 +12,7 @@ from kgmix.graph import (
     build_query_index,
     dataset_stats,
     degree_stats,
+    filter_rows,
     load_triples,
     sufficient_dim,
 )
@@ -131,6 +132,18 @@ def test_query_index_deduplicates_across_splits(toy_store):
     idx = build_query_index(toy_store, ("train", "test"))
     s, r, o = toy_store.train[0]
     assert idx.get(s, r).count(o) == 1
+
+
+@pytest.mark.parametrize("splits", [(), ("train",), ("train", "valid", "test")])
+def test_filter_rows_equal_the_query_index(toy_store, splits):
+    toy_store.test.append(toy_store.train[0])  # a duplicate across splits
+    idx = build_query_index(toy_store, splits)
+    subs, rels = np.meshgrid(np.arange(6), np.arange(2), indexing="ij")
+    subs, rels = subs.ravel(), rels.ravel()  # every query, known or not
+    ptr, cols = filter_rows(toy_store, splits, subs, rels)
+    assert ptr[0] == 0 and len(ptr) == len(subs) + 1
+    for i, (s, r) in enumerate(zip(subs.tolist(), rels.tolist())):
+        assert cols[ptr[i] : ptr[i + 1]].tolist() == idx.get(s, r)
 
 
 def test_query_index_get_default(toy_store):

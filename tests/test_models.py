@@ -13,6 +13,7 @@ from kgmix.models import (
     load_checkpoint,
     save_checkpoint,
     score_all,
+    state_arrays,
 )
 from kgmix.mos import init_mos
 
@@ -235,3 +236,54 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
     extra.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(str(extra))
+
+
+def test_checkpoint_header_names_for_a_two_component_mixture(tmp_path):
+    import json
+
+    m = init_model("distmult", 4, 2, 3, seed=0)
+    mix = init_mos(2, 3, np.random.default_rng(0))
+    path = str(tmp_path / "m.kgm")
+    save_checkpoint(path, m, mix)
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+    component = ["w1", "b1", "gamma1", "beta1", "w2", "b2", "gamma2", "beta2",
+                 "bn1.running_mean", "bn1.running_var",
+                 "bn2.running_mean", "bn2.running_var"]
+    assert [a["name"] for a in header["arrays"]] == [
+        "entities", "relations", "mos.omegas",
+        *(f"mos.c0.{n}" for n in component),
+        *(f"mos.c1.{n}" for n in component),
+    ]
+    assert [n for n, _ in state_arrays(m, mix)] == [a["name"] for a in header["arrays"]]
+
+
+def _rewrite_header(path, edit):
+    import json
+
+    raw = open(path, "rb").read()
+    head, blob = raw.split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + blob)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda h: h["arrays"].pop(1), "missing array 'relations'"),
+        (lambda h: h["arrays"].append({"name": "bogus", "shape": [0]}),
+         "unexpected array 'bogus'"),
+        (lambda h: h["arrays"][1].update(shape=[3, 2]),
+         r"array 'relations' has shape \[3, 2\], expected \[2, 3\]"),
+        (lambda h: h["arrays"].append(dict(h["arrays"][0])), "listed twice"),
+        (lambda h: h.pop("encoder"), "malformed checkpoint header"),
+    ],
+)
+def test_checkpoint_rejects_header_arrays_that_do_not_match(tmp_path, edit, message):
+    path = str(tmp_path / "m.kgm")
+    save_checkpoint(path, init_model("distmult", 4, 2, 3, seed=0))
+    _rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)

@@ -1,11 +1,16 @@
 """Loss terms against closed forms, an Adam reference implementation,
 convergence on a tiny graph, bitwise replayability, and early stopping."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from kgmix import models
+from kgmix import train as train_mod
 from kgmix.autodiff import Parameter, Tape
 from kgmix.graph import TripleStore, build_query_index
-from kgmix.models import Scorer, encode
+from kgmix.models import Scorer, encode, state_arrays
 from kgmix.mos import priors
 from kgmix.train import (
     Adam,
@@ -196,6 +201,48 @@ def test_early_stop_keeps_best_epoch(toy_store):
     assert replay.best_epoch == res.best_epoch
     for pa, pb in zip(res.model.parameters(), replay.model.parameters()):
         assert np.array_equal(pa.value, pb.value)
+
+
+def test_early_stop_restores_mos_state_and_batch_norm_buffers(toy_store):
+    """Early stopping a mixture model restores every state array, the
+    batch-norm running moments included, to the best epoch's values."""
+    cfg = dict(encoder="distmult", output_layer="mos", dim=4, k=2, lr=0.1,
+               batch_size=4, dropout=0.1, seed=1)
+    res = train_loop(toy_store, TrainConfig(epochs=14, patience=3, **cfg))
+    assert res.best_epoch == 4  # frozen: interior maximum
+    assert len(res.history) == 7
+    replay = train_loop(toy_store, TrainConfig(epochs=4, patience=300, **cfg))
+    assert replay.best_epoch == 4
+    got = state_arrays(res.model, res.mos)
+    want = state_arrays(replay.model, replay.mos)
+    assert [n for n, _ in got] == [n for n, _ in want]
+    assert any(n.endswith("running_var") for n, _ in got)
+    for (name, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b), name
+    # the restored buffers differ from the initial ones, so the check bites
+    assert (res.mos.components[0].bn1.running_mean != 0.0).any()
+
+
+def test_training_and_validation_free_every_tape(toy_store, monkeypatch):
+    """With the cyclic collector off, no batch or validation tape outlives
+    the run, so memory does not depend on when the collector runs."""
+    alive = weakref.WeakSet()
+
+    class WatchedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            alive.add(self)
+
+    monkeypatch.setattr(train_mod, "Tape", WatchedTape)
+    monkeypatch.setattr(models, "Tape", WatchedTape)
+    cfg = TrainConfig(encoder="distmult", output_layer="mos", dim=3, k=2,
+                      batch_size=4, epochs=3, patience=10, seed=0)
+    gc.disable()
+    try:
+        train_loop(toy_store, cfg)
+        assert len(alive) == 0
+    finally:
+        gc.enable()
 
 
 def test_runs_all_epochs_without_valid_split():
