@@ -4,7 +4,8 @@ Every operation the models need is a Tape method that appends a Node and
 returns it.  backward() walks the tape once in reverse, accumulating
 adjoints into Parameter.grad.  The op set is deliberately closed: each op
 has a hand-written adjoint, and finite_difference_check certifies all of
-them against central differences.
+them against central differences.  The training loss is one fused op,
+mixture_xent, so no (batch x entities) matrix goes on a training tape.
 """
 from __future__ import annotations
 
@@ -233,11 +234,6 @@ class Tape:
         lse = mx + np.log(np.exp(x.value - mx).sum(axis=1, keepdims=True))
         return self._record("row_log_softmax", x.value - lse, (x,))
 
-    def row_logsumexp(self, x: Node) -> Node:
-        mx = x.value.max(axis=1, keepdims=True)
-        value = mx + np.log(np.exp(x.value - mx).sum(axis=1, keepdims=True))
-        return self._record("row_logsumexp", value, (x,))
-
     def stack_logsumexp(self, xs: list[Node]) -> Node:
         """Elementwise log(sum_k exp(xs[k])) over same-shaped nodes."""
         if not xs:
@@ -265,6 +261,76 @@ class Tape:
         value = np.array([[weight * float(x.value.sum())]])
         return self._record("weighted_sum", value, (x,), {"weight": weight})
 
+    # ---- fused loss ----
+
+    def mixture_xent(
+        self, states: list[Node], entities: Node, ptr, cols, log_pi: Node | None = None
+    ) -> Node:
+        """Mean cross-entropy of a mixture of softmaxes against CSR labels.
+
+        Component k scores Z_k = states[k] @ entities^T and has the log-prior
+        column log_pi[:, k]; log_pi=None means one component with prior 1,
+        the plain softmax.  Row i's labels are cols[ptr[i]:ptr[i + 1]], each
+        weighted 1 / (ptr[i + 1] - ptr[i]).  With a_k = log_pi_k + Z_k -
+        lse_k gathered at the label entries, the loss is the weighted mean
+        of -logsumexp_k a_k.  Only the label entries of the mixture are ever
+        formed; the ctx keeps exp(Z_k - max), in the matmul's own buffer,
+        and the responsibilities rho_k = pi_k p_k / p at the label entries.
+        """
+        if not states or states[0].value.shape[0] == 0:
+            raise ValueError("mixture_xent needs at least one component and one row")
+        n, d = states[0].value.shape
+        if any(h.value.shape != (n, d) for h in states):
+            raise ValueError("mixture_xent states must share a shape")
+        n_ent = entities.value.shape[0]
+        if entities.value.shape[1] != d:
+            raise ValueError(
+                f"entities {entities.value.shape} do not match states of width {d}"
+            )
+        k = len(states)
+        if log_pi is None and k != 1:
+            raise ValueError("mixture_xent needs log_pi for more than one component")
+        if log_pi is not None and log_pi.value.shape != (n, k):
+            raise ValueError(f"log_pi must be ({n}, {k}), got {log_pi.value.shape}")
+        ptr = np.asarray(ptr)
+        cols = np.asarray(cols)
+        if ptr.ndim != 1 or ptr.shape[0] != n + 1 or ptr.dtype.kind not in "iu":
+            raise ValueError(f"ptr must be 1-D integers of length {n + 1}")
+        if cols.ndim != 1 or cols.dtype.kind not in "iu":
+            raise ValueError("cols must be 1-D integers")
+        counts = np.diff(ptr)
+        if ptr[0] != 0 or ptr[-1] != cols.shape[0] or (counts < 0).any():
+            raise ValueError("ptr must rise monotonically from 0 to len(cols)")
+        if (counts == 0).any():
+            raise ValueError(f"label row {int(np.argmin(counts))} is empty")
+        if cols.min() < 0 or cols.max() >= n_ent:
+            raise ValueError(f"label column out of range [0, {n_ent})")
+
+        rows = np.repeat(np.arange(n), counts)
+        w = (1.0 / counts)[rows]
+        lp = np.zeros((n, 1)) if log_pi is None else log_pi.value
+        a = np.empty((k, cols.shape[0]))
+        exps, sums = [], []
+        for j, h in enumerate(states):
+            e = h.value @ entities.value.T
+            picked = e[rows, cols]
+            mx = e.max(axis=1, keepdims=True)
+            e -= mx
+            np.exp(e, out=e)
+            s = e.sum(axis=1, keepdims=True)
+            lse = mx + np.log(s)
+            a[j] = (picked - lse[rows, 0]) + lp[rows, j]
+            exps.append(e)
+            sums.append(s)
+        amax = a.max(axis=0)
+        ell = amax + np.log(np.exp(a - amax).sum(axis=0))
+        rho = np.exp(a - ell)
+        value = np.array([[(-1.0 / n) * float((w * ell).sum())]])
+        parents = (*states, entities) + (() if log_pi is None else (log_pi,))
+        ctx = {"rows": rows, "cols": cols, "w": w, "rho": rho,
+               "exps": exps, "sums": sums}
+        return self._record("mixture_xent", value, parents, ctx)
+
     # ---- reverse pass ----
 
     def backward(self, loss: Node):
@@ -273,12 +339,18 @@ class Tape:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.shape != (1, 1):
             raise ValueError("backward expects a 1x1 loss node")
+        # An adjoint may alias another node's adjoint (add hands g itself
+        # to both parents, concat_cols hands out views of it), so none is
+        # ever updated in place: the first one a node receives is kept as
+        # it is, later ones are summed into a new array, and each is
+        # dropped once it has been passed on.
         adjoints: list[np.ndarray | None] = [None] * len(self.nodes)
         adjoints[loss.idx] = np.ones((1, 1))
         for node in reversed(self.nodes):
             g = adjoints[node.idx]
             if g is None:
                 continue
+            adjoints[node.idx] = None
             if node.op == "param":
                 node.param.grad += g
                 continue
@@ -287,9 +359,8 @@ class Tape:
             for parent, pg in zip(node.parents, _backward_rule(node, g)):
                 if pg is None:
                     continue
-                if adjoints[parent.idx] is None:
-                    adjoints[parent.idx] = np.zeros_like(parent.value)
-                adjoints[parent.idx] += pg
+                prev = adjoints[parent.idx]
+                adjoints[parent.idx] = pg if prev is None else prev + pg
 
 
 def _backward_rule(node: Node, g: np.ndarray):
@@ -367,9 +438,6 @@ def _backward_rule(node: Node, g: np.ndarray):
     if op == "row_log_softmax":
         soft = np.exp(node.value)
         return (g - soft * g.sum(axis=1, keepdims=True),)
-    if op == "row_logsumexp":
-        soft = np.exp(a[0].value - node.value)
-        return (g * soft,)
     if op == "stack_logsumexp":
         return tuple(g * np.exp(x.value - node.value) for x in a)
     if op == "row_entropy":
@@ -380,7 +448,34 @@ def _backward_rule(node: Node, g: np.ndarray):
     if op == "weighted_sum":
         w = node.ctx["weight"]
         return (np.full_like(a[0].value, w * g[0, 0]),)
+    if op == "mixture_xent":
+        return _mixture_xent_rule(node, g)
     raise AssertionError(f"no backward rule for op {op!r}")
+
+
+def _mixture_xent_rule(node: Node, g: np.ndarray):
+    # dZ_k = (g/n) (P_k * c_k - sparse(w rho_k)) with c_ik = sum_j w_i rho_ijk
+    # and P_k = exps[k] / sums[k]; each dZ_k is a fresh array, so the ctx
+    # stays as forward left it and a second backward repeats the first
+    ctx = node.ctx
+    rows, cols, w, rho = ctx["rows"], ctx["cols"], ctx["w"], ctx["rho"]
+    k = len(ctx["exps"])
+    states, entities = node.parents[:k], node.parents[k]
+    n = states[0].value.shape[0]
+    scale = g[0, 0] / n
+    grads, d_ent = [], None
+    c = np.empty((n, k))
+    for j, (h, e, s) in enumerate(zip(states, ctx["exps"], ctx["sums"])):
+        c[:, j] = np.bincount(rows, weights=w * rho[j], minlength=n)
+        dz = e * (scale * c[:, j : j + 1] / s)
+        np.subtract.at(dz, (rows, cols), scale * w * rho[j])
+        grads.append(dz @ entities.value)
+        de = dz.T @ h.value
+        d_ent = de if d_ent is None else d_ent + de
+    grads.append(d_ent)
+    if len(node.parents) > k + 1:
+        grads.append(-scale * c)
+    return tuple(grads)
 
 
 def finite_difference_check(build, params, eps: float = 1e-6) -> float:

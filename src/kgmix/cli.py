@@ -95,7 +95,7 @@ def cmd_train(args) -> int:
         "config": asdict(config),
         "n_entities": store.n_entities,
         "n_relations": store.n_relations,
-        "n_train_queries": build_query_index(store, ("train",)).n_queries,
+        "n_train_queries": result.n_queries,
         "epochs_run": len(result.history),
         "best_epoch": result.best_epoch,
         "checkpoint": "checkpoint.kgm",

@@ -230,9 +230,16 @@ def filter_rows(store: TripleStore, splits, subjects, relations):
     base = (np.asarray(subjects, dtype=np.int64) * n_rel + relations) * n_ent
     lo = np.searchsorted(keys, base)
     counts = np.searchsorted(keys, base + n_ent) - lo
+    ptr, picked = csr_take(lo, counts, keys)
+    return ptr, picked % n_ent
+
+
+def csr_take(starts, counts, values):
+    """CSR rows (ptr, picked) holding the runs values[starts[i]:starts[i] +
+    counts[i]], in the order given, gathered without a Python loop."""
     ptr = np.append(0, np.cumsum(counts))
-    pick = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], counts)
-    return ptr, keys[pick] % n_ent
+    pick = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
+    return ptr, values[pick]
 
 
 @dataclass

@@ -1,10 +1,12 @@
-"""Output layers mapping query states H to distributions over entities.
+"""The mixture-of-softmaxes output layer over query states H.
 
-plain_log_prob is a single softmax over H @ E^T, whose log-probability
-matrix can never exceed rank d+1.  mixture_log_prob blends K softmaxes,
-each over a separately projected copy of H, with query-dependent priors;
-for K >= 2 the blend is no longer log-linear in H and escapes that rank
-ceiling.  All mixing happens in log space through logsumexp.
+A single softmax over H @ E^T has a log-probability matrix of rank at most
+d+1.  The mixture blends K softmaxes, each over a separately projected copy
+of H, with query-dependent priors; for K >= 2 the blend is no longer
+log-linear in H and escapes that rank ceiling.  mixture_states builds the
+log-priors and the projected states; training feeds them to the fused
+Tape.mixture_xent loss, and mixture_log_prob blends the full log-probability
+matrix for inference.  All mixing happens in log space through logsumexp.
 """
 from __future__ import annotations
 
@@ -125,9 +127,27 @@ def project(
     return x
 
 
-def plain_log_prob(h: Node, entities: Node, tape: Tape) -> Node:
-    """log softmax(H @ E^T): the single-softmax output layer."""
-    return tape.row_log_softmax(tape.matmul(h, entities, transpose_b=True))
+def mixture_states(
+    mos: MosParams,
+    h: Node,
+    tape: Tape,
+    training: bool = False,
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+    slope: float = 0.01,
+) -> tuple[Node, list[Node]]:
+    """The (batch, k) log-priors log pi(H) and each component's projected
+    states f_k(H), projected in component order.
+
+    Priors and projections both consume the same H node, so dropout applied
+    upstream of this call affects them identically.
+    """
+    log_pi = tape.row_log_softmax(prior_logits(mos, h, tape))
+    states = [
+        project(mos, comp, h, tape, training, dropout, rng, slope)
+        for comp in mos.components
+    ]
+    return log_pi, states
 
 
 def mixture_log_prob(
@@ -140,15 +160,13 @@ def mixture_log_prob(
     rng: np.random.Generator | None = None,
     slope: float = 0.01,
 ) -> Node:
-    """log sum_k pi_k(H) softmax(f_k(H) @ E^T), evaluated in log space.
-
-    Priors and projections both consume the same H node, so dropout applied
-    upstream of this call affects them identically.
-    """
-    log_pi = tape.row_log_softmax(prior_logits(mos, h, tape))
-    terms = []
-    for k, comp in enumerate(mos.components):
-        hk = project(mos, comp, h, tape, training, dropout, rng, slope)
-        log_k = tape.row_log_softmax(tape.matmul(hk, entities, transpose_b=True))
-        terms.append(tape.add(log_k, tape.slice_cols(log_pi, k, k + 1)))
+    """log sum_k pi_k(H) softmax(f_k(H) @ E^T), evaluated in log space."""
+    log_pi, states = mixture_states(mos, h, tape, training, dropout, rng, slope)
+    terms = [
+        tape.add(
+            tape.row_log_softmax(tape.matmul(hk, entities, transpose_b=True)),
+            tape.slice_cols(log_pi, k, k + 1),
+        )
+        for k, hk in enumerate(states)
+    ]
     return tape.stack_logsumexp(terms)

@@ -1,7 +1,10 @@
 """Full-softmax cross-entropy training over (subject, relation) queries.
 
 The batch unit is a query, not a triple: each query's label row spreads
-probability mass uniformly over its true objects.  Shuffling is replayable
+probability mass uniformly over its true objects.  Label rows are CSR
+(built once per run with numpy) and the loss is the fused
+Tape.mixture_xent, so no (batch x entities) matrix goes on the tape for
+either output layer.  Shuffling is replayable
 because each epoch draws from a counter-based Philox stream keyed by
 (seed, epoch); runs with equal configs are bitwise identical for a fixed
 thread count.
@@ -15,9 +18,9 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .evaluate import ranking_metrics
-from .graph import QueryIndex, TripleStore, build_query_index
+from .graph import TripleStore, csr_take, filter_rows, triple_array
 from .models import ENCODERS, ModelParams, Scorer, encode, init_model, state_arrays
-from .mos import MosParams, init_mos, mixture_log_prob, plain_log_prob, priors
+from .mos import MosParams, init_mos, mixture_states, priors
 
 OUTPUT_LAYERS = ("softmax", "mos")
 
@@ -66,31 +69,53 @@ class TrainConfig:
             raise ValueError("entropy_weight must be non-negative")
 
 
-def query_label_matrix(index: QueryIndex, queries, n_entities: int) -> np.ndarray:
-    """Dense label rows, uniform over each query's true objects."""
-    labels = np.zeros((len(queries), n_entities))
-    for i, (s, r) in enumerate(queries):
-        true = index.get(s, r)
-        if not true:
-            raise ValueError(f"query {(s, r)} has no true objects in the index")
-        labels[i, true] = 1.0 / len(true)
-    return labels
-
-
-def ce_loss(logp: Node, labels: np.ndarray, tape: Tape) -> Node:
-    """Mean cross-entropy of log-probability rows against label rows."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != logp.value.shape:
-        raise ValueError("labels must match the log-probability shape")
-    if (labels < 0).any() or not np.allclose(labels.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("label rows must be non-negative and sum to 1")
-    picked = tape.hadamard(tape.constant(labels), logp)
-    return tape.weighted_sum(picked, -1.0 / labels.shape[0])
+def query_labels(store: TripleStore):
+    """The sorted unique train queries, in QueryIndex.queries() order, as
+    (subjects, relations, ptr, cols): query i's true objects are the CSR
+    label row cols[ptr[i]:ptr[i + 1]]."""
+    t = triple_array(store.train)
+    subs, rels = np.divmod(np.unique(t[:, 0] * store.n_relations + t[:, 1]),
+                           store.n_relations)
+    ptr, cols = filter_rows(store, ("train",), subs, rels)
+    return subs, rels, ptr, cols
 
 
 def entropy_reg(pi: Node, tape: Tape) -> Node:
     """Mean Shannon entropy of the prior rows (a 1x1 node)."""
     return tape.weighted_sum(tape.row_entropy(pi), 1.0 / pi.value.shape[0])
+
+
+def batch_loss(
+    model: ModelParams,
+    mos: MosParams | None,
+    config: TrainConfig,
+    subjects,
+    relations,
+    ptr,
+    cols,
+    tape: Tape,
+    rng: np.random.Generator,
+) -> Node:
+    """One batch's training loss: the cross-entropy of the output layer
+    against the CSR label rows, less entropy_weight times the mean prior
+    entropy for a mixture.  Dropout masks are drawn from rng in a fixed
+    order (H, then each component)."""
+    h = encode(
+        model, subjects, relations, tape, training=True,
+        dropout=config.dropout, rng=rng, slope=config.leaky_slope,
+    )
+    entities = tape.param(model.entities)
+    if mos is None:
+        return tape.mixture_xent([h], entities, ptr, cols)
+    log_pi, states = mixture_states(
+        mos, h, tape, training=True, dropout=config.dropout, rng=rng,
+        slope=config.leaky_slope,
+    )
+    loss = tape.mixture_xent(states, entities, ptr, cols, log_pi)
+    if config.entropy_weight > 0:
+        reg = entropy_reg(priors(mos, h, tape), tape)
+        loss = tape.subtract(loss, tape.weighted_sum(reg, config.entropy_weight))
+    return loss
 
 
 class Adam:
@@ -154,6 +179,7 @@ class TrainResult:
     history: list[EpochRecord]
     best_epoch: int
     config: TrainConfig = field(repr=False, default=None)
+    n_queries: int = 0  # training queries (unique train (s, r) pairs)
 
 
 def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainResult:
@@ -178,9 +204,9 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
     params = model.parameters() + (mos_params.parameters() if mos_params else [])
     opt = Adam(params, config.resolved_lr())
 
-    index = build_query_index(store, ("train",))
-    queries = index.queries()
-    n_queries = len(queries)
+    subs, rels, ptr, cols = query_labels(store)
+    counts = np.diff(ptr)
+    n_queries = len(subs)
     has_valid = len(store.valid) > 0
 
     history: list[EpochRecord] = []
@@ -193,30 +219,13 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
         order = erng.permutation(n_queries)
         total = 0.0
         for start in range(0, n_queries, config.batch_size):
-            batch_q = [queries[i] for i in order[start : start + config.batch_size]]
-            subs = np.array([q[0] for q in batch_q], dtype=np.int64)
-            rels = np.array([q[1] for q in batch_q], dtype=np.int64)
-            labels = query_label_matrix(index, batch_q, store.n_entities)
-
+            batch = order[start : start + config.batch_size]
+            batch_ptr, batch_cols = csr_take(ptr[batch], counts[batch], cols)
             with Tape() as tape:
-                h = encode(
-                    model, subs, rels, tape, training=True,
-                    dropout=config.dropout, rng=erng, slope=config.leaky_slope,
+                loss = batch_loss(
+                    model, mos_params, config, subs[batch], rels[batch],
+                    batch_ptr, batch_cols, tape, erng,
                 )
-                if mos_params is not None:
-                    logp = mixture_log_prob(
-                        mos_params, h, tape.param(model.entities), tape,
-                        training=True, dropout=config.dropout, rng=erng,
-                        slope=config.leaky_slope,
-                    )
-                else:
-                    logp = plain_log_prob(h, tape.param(model.entities), tape)
-                loss = ce_loss(logp, labels, tape)
-                if mos_params is not None and config.entropy_weight > 0:
-                    reg = entropy_reg(priors(mos_params, h, tape), tape)
-                    loss = tape.subtract(
-                        loss, tape.weighted_sum(reg, config.entropy_weight)
-                    )
                 if not np.isfinite(loss.value[0, 0]):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch offset {start}"
@@ -224,7 +233,7 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
                 opt.zero_grad()
                 tape.backward(loss)
                 opt.step()
-            total += float(loss.value[0, 0]) * len(batch_q)
+            total += float(loss.value[0, 0]) * len(batch)
 
         val_mrr = float("nan")
         if has_valid:
@@ -259,5 +268,5 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
         best_epoch = best[1]
     return TrainResult(
         model=model, mos=mos_params, history=history,
-        best_epoch=best_epoch, config=config,
+        best_epoch=best_epoch, config=config, n_queries=n_queries,
     )

@@ -16,8 +16,8 @@ import pytest
 from kgmix.autodiff import BatchNormState, Parameter, Tape, finite_difference_check
 from kgmix.evaluate import filtered_nll, ranking_metrics
 from kgmix.graph import TripleStore, build_query_index, dataset_stats, load_triples
-from kgmix.models import Scorer, encode, init_model
-from kgmix.mos import init_mos, mixture_log_prob, plain_log_prob, priors
+from kgmix.models import Scorer, init_model
+from kgmix.mos import init_mos
 from kgmix.theory import (
     dr_obstruction_check,
     enumerate_feasible_rankings,
@@ -28,13 +28,7 @@ from kgmix.theory import (
     sign_decompose,
     verify_sign_decomposition,
 )
-from kgmix.train import (
-    TrainConfig,
-    ce_loss,
-    entropy_reg,
-    query_label_matrix,
-    train_loop,
-)
+from kgmix.train import TrainConfig, batch_loss, train_loop
 
 FD_TOL = 1e-5
 FD_TOL_BN = 1e-4
@@ -244,13 +238,8 @@ def _op_cases():
         t = Tape()
         return _weighted(t, t.row_log_softmax(t.param(sm)), w46)
 
-    def build_row_logsumexp():
-        t = Tape()
-        return _weighted(t, t.row_logsumexp(t.param(sm)), w41)
-
     yield "row_softmax", [sm], build_row_softmax, False
     yield "row_log_softmax", [sm], build_row_log_softmax, False
-    yield "row_logsumexp", [sm], build_row_logsumexp, False
 
     s1 = Parameter("s1", rng.standard_normal((4, 3)))
     s2 = Parameter("s2", rng.standard_normal((4, 3)))
@@ -278,36 +267,45 @@ def _op_cases():
 
     yield "weighted_sum", [ws], build_weighted_sum, False
 
+    # the fused loss: multi-label CSR rows, one label at a row maximum
+    xh = [Parameter(f"xh{i}", rng.standard_normal((4, 3))) for i in range(3)]
+    xe = Parameter("xe", rng.standard_normal((6, 3)))
+    xlp = Parameter("xlp", rng.standard_normal((4, 3)))
+    top = int(np.argmax(xh[0].value[0] @ xe.value.T))
+    xptr, xcols = np.array([0, 1, 3, 4, 7]), np.array([top, 1, 4, 0, 2, 3, 5])
+
+    def build_softmax_xent():
+        t = Tape()
+        return t.mixture_xent([t.param(xh[0])], t.param(xe), xptr, xcols)
+
+    def build_mixture_xent():
+        t = Tape()
+        return t.mixture_xent([t.param(h) for h in xh], t.param(xe), xptr, xcols,
+                              t.param(xlp))
+
+    yield "mixture_xent(k=1)", [xh[0], xe], build_softmax_xent, False
+    yield "mixture_xent(k=3)", xh + [xe, xlp], build_mixture_xent, False
+
 
 def _full_loss_case(encoder, output_layer, seed):
-    """A complete training loss at toy sizes, dropout on and batch norm in
-    training mode; the dropout rng is re-created inside the builder so
-    repeated builds apply identical masks."""
-    n_entities, n_relations, dim, batch, k = 7, 3, 3, 5, 3
+    """A complete training loss at toy sizes, built by the batch_loss that
+    train_loop runs, with dropout on and batch norm in training mode; the
+    dropout rng is re-created inside build() so repeated builds apply
+    identical masks."""
+    n_entities, n_relations, dim, k = 7, 3, 3, 3
     rng = np.random.default_rng(seed)
     model = init_model(encoder, n_entities, n_relations, dim, seed=seed, rng=rng)
     mos_params = init_mos(k, dim, rng) if output_layer == "mos" else None
+    config = TrainConfig(encoder=encoder, output_layer=output_layer, dim=dim,
+                         k=k, dropout=0.2, entropy_weight=1e-3)
     subs = np.array([0, 2, 4, 6, 2])
     rels = np.array([0, 1, 2, 0, 1])
-    labels = np.zeros((batch, n_entities))
-    labels[np.arange(batch), [1, 3, 5, 0, 3]] = 1.0
+    ptr, cols = np.arange(6), np.array([1, 3, 5, 0, 3])
 
     def build():
         drop_rng = np.random.default_rng(seed + 1)
-        tape = Tape()
-        h = encode(model, subs, rels, tape, training=True, dropout=0.2,
-                   rng=drop_rng)
-        if mos_params is not None:
-            logp = mixture_log_prob(mos_params, h, tape.param(model.entities),
-                                    tape, training=True, dropout=0.2,
-                                    rng=drop_rng)
-        else:
-            logp = plain_log_prob(h, tape.param(model.entities), tape)
-        loss = ce_loss(logp, labels, tape)
-        if mos_params is not None:
-            reg = entropy_reg(priors(mos_params, h, tape), tape)
-            loss = tape.subtract(loss, tape.weighted_sum(reg, 1e-3))
-        return loss
+        return batch_loss(model, mos_params, config, subs, rels, ptr, cols,
+                          Tape(), drop_rng)
 
     params = model.parameters()
     if mos_params is not None:
@@ -522,7 +520,7 @@ def test_criterion_7_mixture_separation_on_rank6_target():
     check = dr_obstruction_check(adj, dim=2)
     assert check.target_rank == 6 and check.excluded
 
-    labels = query_label_matrix(index, queries, 8)
+    labels = adj / adj.sum(axis=1, keepdims=True)
     subs = np.array([q[0] for q in queries])
     rels = np.array([q[1] for q in queries])
 

@@ -151,7 +151,6 @@ def test_softmax_family_grads():
     rng = np.random.default_rng(8)
     x = Parameter("x", rng.standard_normal((4, 6)))
     w_full = rng.standard_normal((4, 6))
-    w_col = rng.standard_normal((4, 1))
 
     def build_softmax():
         t = Tape()
@@ -161,13 +160,8 @@ def test_softmax_family_grads():
         t = Tape()
         return scalarize(t, t.row_log_softmax(t.param(x)), w_full)
 
-    def build_lse():
-        t = Tape()
-        return scalarize(t, t.row_logsumexp(t.param(x)), w_col)
-
     assert finite_difference_check(build_softmax, [x]) <= FD_TOL
     assert finite_difference_check(build_log_softmax, [x]) <= FD_TOL
-    assert finite_difference_check(build_lse, [x]) <= FD_TOL
 
 
 def test_stack_logsumexp_grads_and_value():
@@ -330,6 +324,45 @@ def test_cross_entropy_closed_form_gradient():
     assert finite_difference_check(build, [z]) <= FD_TOL
 
 
+def test_shared_and_aliased_adjoints_grads():
+    """One node feeding add(x, x) and a concat_cols/slice_cols pair.  The
+    rules hand back g itself (add) and views of it (concat_cols), so the
+    adjoints of xn, yn, cat and other share memory; a later contribution
+    to xn must not write into what other is still waiting to pass on."""
+    rng = np.random.default_rng(18)
+    x = Parameter("x", rng.standard_normal((4, 3)))
+    y = Parameter("y", rng.standard_normal((4, 2)))
+    z = Parameter("z", rng.standard_normal((4, 5)))
+    w_early = rng.standard_normal((4, 3))
+    w_sum = rng.standard_normal((4, 3))
+    w_cat = rng.standard_normal((4, 4))
+
+    def build():
+        t = Tape()
+        other = t.leaky_relu(t.param(z), 0.3)
+        xn = t.leaky_relu(t.param(x), 0.3)
+        yn = t.leaky_relu(t.param(y), 0.3)
+        early = scalarize(t, xn, w_early)  # reaches xn after the aliases
+        doubled = t.add(xn, xn)
+        cat = t.concat_cols(xn, yn)
+        picked = t.slice_cols(t.add(cat, other), 1, 5)
+        total = t.add(early, scalarize(t, doubled, w_sum))
+        return t.add(total, scalarize(t, picked, w_cat))
+
+    params = [x, y, z]
+    assert finite_difference_check(build, params) <= FD_TOL
+    for p in params:
+        p.zero_grad()
+    loss = build()
+    loss.tape.backward(loss)
+    slope = {p.name: np.where(p.value > 0, 1.0, 0.3) for p in params}
+    g_cat = np.hstack([np.zeros((4, 1)), w_cat])
+    want_x = slope["x"] * (w_early + 2.0 * w_sum + g_cat[:, :3])
+    assert np.abs(x.grad - want_x).max() <= 1e-12
+    assert np.abs(y.grad - slope["y"] * g_cat[:, 3:]).max() <= 1e-12
+    assert np.abs(z.grad - slope["z"] * g_cat).max() <= 1e-12
+
+
 def test_backward_is_deterministic():
     rng = np.random.default_rng(17)
     a = Parameter("a", rng.standard_normal((4, 4)))
@@ -418,3 +451,171 @@ def test_tape_context_drops_its_nodes_on_exit():
         assert ref() is None  # no cycle is left for the collector
     finally:
         gc.enable()
+
+
+# ---- the fused training loss ----
+
+
+def random_label_rows(rng, n, n_ent, most=3):
+    """CSR rows of 1..most distinct sorted columns each."""
+    counts = rng.integers(1, most + 1, size=n)
+    rows = [np.sort(rng.choice(n_ent, c, replace=False)) for c in counts]
+    return np.append(0, np.cumsum(counts)), np.concatenate(rows)
+
+
+def dense_labels(ptr, cols, n_ent):
+    y = np.zeros((len(ptr) - 1, n_ent))
+    for i in range(len(ptr) - 1):
+        row = cols[ptr[i] : ptr[i + 1]]
+        y[i, row] = 1.0 / len(row)
+    return y
+
+
+def unfused_xent(t, states, entities, y, log_pi=None):
+    """The reference: log-softmax per component, log-priors added, stacked
+    logsumexp, then the dense label rows through hadamard + weighted_sum."""
+    if log_pi is None:
+        logp = t.row_log_softmax(t.matmul(states[0], entities, transpose_b=True))
+    else:
+        logp = t.stack_logsumexp([
+            t.add(t.row_log_softmax(t.matmul(h, entities, transpose_b=True)),
+                  t.slice_cols(log_pi, k, k + 1))
+            for k, h in enumerate(states)
+        ])
+    return t.weighted_sum(t.hadamard(t.constant(y), logp), -1.0 / y.shape[0])
+
+
+def xent_case(seed, k, n=5, n_ent=7, d=3, scale=1.0):
+    rng = np.random.default_rng(seed)
+    hs = [Parameter(f"h{i}", scale * rng.standard_normal((n, d))) for i in range(k)]
+    e = Parameter("e", scale * rng.standard_normal((n_ent, d)))
+    lp = Parameter("lp", rng.standard_normal((n, k))) if k > 1 else None
+    ptr, cols = random_label_rows(rng, n, n_ent)
+    # row 0's only label is the maximum of its first component's scores
+    top = int(np.argmax(hs[0].value[0] @ e.value.T))
+    cols = np.concatenate([[top], cols[ptr[1] :]])
+    ptr = np.append(0, ptr[1:] - ptr[1] + 1)
+    params = hs + [e] + ([lp] if lp is not None else [])
+    return hs, e, lp, ptr, cols, params
+
+
+def fused(t, hs, e, lp, ptr, cols):
+    log_pi = None if lp is None else t.param(lp)
+    return t.mixture_xent([t.param(h) for h in hs], t.param(e), ptr, cols, log_pi)
+
+
+def grads_of(build, params):
+    for p in params:
+        p.zero_grad()
+    loss = build()
+    loss.tape.backward(loss)
+    return float(loss.value[0, 0]), [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_mixture_xent_grads(k):
+    hs, e, lp, ptr, cols, params = xent_case(19, k)
+
+    def build():
+        return fused(Tape(), hs, e, lp, ptr, cols)
+
+    assert finite_difference_check(build, params) <= FD_TOL
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_mixture_xent_matches_unfused_composition(k):
+    hs, e, lp, ptr, cols, params = xent_case(20, k, n=6, n_ent=9, d=4)
+    y = dense_labels(ptr, cols, 9)
+
+    def build_ref():
+        t = Tape()
+        log_pi = None if lp is None else t.param(lp)
+        return unfused_xent(t, [t.param(h) for h in hs], t.param(e), y, log_pi)
+
+    got_loss, got = grads_of(lambda: fused(Tape(), hs, e, lp, ptr, cols), params)
+    want_loss, want = grads_of(build_ref, params)
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for p, g, w in zip(params, got, want):
+        assert np.abs(g - w).max() <= 1e-12, p.name
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_mixture_xent_is_finite_at_extreme_logits(k):
+    """Scores near +-700: exp would overflow or vanish without the shifts."""
+    hs, e, lp, ptr, cols, params = xent_case(21, k, scale=1.0)
+    for h in hs:
+        h.value[...] = np.sign(h.value)
+    e.value[...] = np.linspace(-700.0, 700.0, e.value.size).reshape(e.value.shape)
+    z = hs[0].value @ e.value.T
+    assert np.abs(z).max() >= 700.0
+    y = dense_labels(ptr, cols, e.value.shape[0])
+
+    def build_ref():
+        t = Tape()
+        log_pi = None if lp is None else t.param(lp)
+        return unfused_xent(t, [t.param(h) for h in hs], t.param(e), y, log_pi)
+
+    got_loss, got = grads_of(lambda: fused(Tape(), hs, e, lp, ptr, cols), params)
+    want_loss, _ = grads_of(build_ref, params)
+    assert np.isfinite(got_loss) and all(np.isfinite(g).all() for g in got)
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+
+
+def test_mixture_xent_zero_prior_equals_softmax_bitwise():
+    hs, e, _, ptr, cols, params = xent_case(22, 1)
+    zero = Parameter("zero", np.zeros((hs[0].value.shape[0], 1)))
+    soft_loss, soft = grads_of(lambda: fused(Tape(), hs, e, None, ptr, cols), params)
+    mix_loss, mix = grads_of(lambda: fused(Tape(), hs, e, zero, ptr, cols), params)
+    assert soft_loss == mix_loss
+    for g, w in zip(soft, mix):
+        assert np.array_equal(g, w)
+
+
+def test_mixture_xent_backward_leaves_its_ctx_alone():
+    """A second backward on the same tape adds exactly the same gradients."""
+    hs, e, lp, ptr, cols, params = xent_case(23, 3)
+    for p in params:
+        p.zero_grad()
+    t = Tape()
+    loss = fused(t, hs, e, lp, ptr, cols)
+    t.backward(loss)
+    once = [p.grad.copy() for p in params]
+    t.backward(loss)
+    for p, g in zip(params, once):
+        assert np.array_equal(p.grad, 2.0 * g), p.name
+
+
+def test_mixture_xent_validation():
+    rng = np.random.default_rng(24)
+    t = Tape()
+    h = t.constant(rng.standard_normal((3, 2)))
+    e = t.constant(rng.standard_normal((4, 2)))
+    good_ptr, good_cols = np.array([0, 1, 3, 4]), np.array([0, 1, 3, 2])
+    bad_labels = [
+        ("empty", np.array([0, 1, 1, 4]), good_cols),
+        ("length", np.array([0, 1, 4]), good_cols),
+        ("monoton", np.array([0, 2, 1, 4]), good_cols),
+        ("monoton", np.array([1, 1, 3, 4]), good_cols),
+        ("monoton", good_ptr, np.array([0, 1, 3])),
+        ("out of range", good_ptr, np.array([0, -1, 3, 2])),
+        ("out of range", good_ptr, np.array([0, 1, 4, 2])),
+        ("integers", good_ptr, good_cols.astype(float)),
+    ]
+    for match, ptr, cols in bad_labels:
+        with pytest.raises(ValueError, match=match):
+            t.mixture_xent([h], e, ptr, cols)
+    lp = t.constant(np.zeros((3, 2)))
+    wide_h, wide_e = t.constant(np.ones((3, 3))), t.constant(np.ones((4, 3)))
+    with pytest.raises(ValueError, match="log_pi"):
+        t.mixture_xent([h, h], e, good_ptr, good_cols)
+    with pytest.raises(ValueError, match="log_pi"):
+        t.mixture_xent([h], e, good_ptr, good_cols, lp)
+    with pytest.raises(ValueError, match="share a shape"):
+        t.mixture_xent([h, wide_h], e, good_ptr, good_cols, lp)
+    with pytest.raises(ValueError, match="width"):
+        t.mixture_xent([h], wide_e, good_ptr, good_cols)
+    with pytest.raises(ValueError, match="one component"):
+        t.mixture_xent([], e, good_ptr, good_cols)
+    assert len(t.nodes) == 5  # nothing was recorded by a rejected call
+    loss = t.mixture_xent([h], e, good_ptr, good_cols)
+    assert loss.value.shape == (1, 1) and np.isfinite(loss.value[0, 0])

@@ -10,56 +10,88 @@ from kgmix import models
 from kgmix import train as train_mod
 from kgmix.autodiff import Parameter, Tape
 from kgmix.graph import TripleStore, build_query_index
-from kgmix.models import Scorer, encode, state_arrays
-from kgmix.mos import priors
+from kgmix.models import Scorer, encode, init_model, state_arrays
+from kgmix.mos import init_mos, priors
 from kgmix.train import (
     Adam,
     TrainConfig,
     TrainingDiverged,
-    ce_loss,
+    batch_loss,
     entropy_reg,
-    query_label_matrix,
+    query_labels,
     train_loop,
 )
 
 
-def test_query_label_matrix(toy_store):
+def test_query_labels_follow_query_index(toy_store):
+    subs, rels, ptr, cols = query_labels(toy_store)
     index = build_query_index(toy_store, ("train",))
-    labels = query_label_matrix(index, [(0, 0), (2, 1)], toy_store.n_entities)
-    want0 = np.zeros(6)
-    want0[[1, 2]] = 0.5  # (0, r0) has true objects {1, 2}
-    assert np.allclose(labels[0], want0)
-    want1 = np.zeros(6)
-    want1[3] = 1.0
-    assert np.allclose(labels[1], want1)
-    with pytest.raises(ValueError, match="no true objects"):
-        query_label_matrix(index, [(5, 1)], toy_store.n_entities)
+    assert list(zip(subs.tolist(), rels.tolist())) == index.queries()
+    assert len(ptr) == index.n_queries + 1 and ptr[-1] == index.n_triples
+    for i, (s, r) in enumerate(index.queries()):
+        assert cols[ptr[i] : ptr[i + 1]].tolist() == index.get(s, r)
+    i = index.queries().index((0, 0))
+    assert cols[ptr[i] : ptr[i + 1]].tolist() == [1, 2]  # (0, r0) -> {1, 2}
 
 
-def test_ce_loss_closed_forms():
+def test_xent_closed_forms():
+    """The fused loss against -log p for known distributions."""
+    p = np.array([0.7, 0.2, 0.1])
     t = Tape()
-    p = np.array([[0.7, 0.2, 0.1]])
-    logp = t.constant(np.log(p))
-    y = np.array([[1.0, 0.0, 0.0]])
-    assert ce_loss(logp, y, t).value[0, 0] == pytest.approx(-np.log(0.7), abs=1e-12)
+    # H = [1] and E = log p score the entities at exactly log p
+    loss = t.mixture_xent([t.constant([[1.0]])], t.constant(np.log(p)[:, None]),
+                          [0, 1], [0])
+    assert loss.value[0, 0] == pytest.approx(-np.log(0.7), abs=1e-12)
 
     n = 5
     t2 = Tape()
-    uniform = t2.constant(np.full((3, n), -np.log(n)))
-    y2 = np.zeros((3, n))
-    y2[:, 0] = 1.0
-    assert ce_loss(uniform, y2, t2).value[0, 0] == pytest.approx(np.log(n), abs=1e-12)
+    # zero scores: every row is uniform over n entities
+    uniform = t2.mixture_xent([t2.constant(np.zeros((3, 1)))],
+                              t2.constant(np.ones((n, 1))), [0, 1, 2, 3], [0, 4, 2])
+    assert uniform.value[0, 0] == pytest.approx(np.log(n), abs=1e-12)
+
+    # a half-half mixture of p and uniform-over-3, against labels {0, 2}
+    t3 = Tape()
+    mixed = t3.mixture_xent(
+        [t3.constant([[1.0]]), t3.constant([[0.0]])],
+        t3.constant(np.log(p)[:, None]), [0, 2], [0, 2],
+        t3.constant(np.log([[0.5, 0.5]])),
+    )
+    want = -0.5 * (np.log(0.5 * 0.7 + 0.5 / 3) + np.log(0.5 * 0.1 + 0.5 / 3))
+    assert mixed.value[0, 0] == pytest.approx(want, abs=1e-12)
 
 
-def test_ce_loss_validation():
-    t = Tape()
-    logp = t.constant(np.log(np.array([[0.5, 0.5]])))
-    with pytest.raises(ValueError, match="shape"):
-        ce_loss(logp, np.array([[1.0, 0.0, 0.0]]), t)
-    with pytest.raises(ValueError, match="sum to 1"):
-        ce_loss(logp, np.array([[0.5, 0.2]]), t)
-    with pytest.raises(ValueError, match="non-negative"):
-        ce_loss(logp, np.array([[1.5, -0.5]]), t)
+def test_batch_loss_rejects_bad_label_rows():
+    model = init_model("distmult", 6, 2, 3, seed=0)
+    cfg = TrainConfig(dim=3, dropout=0.0)
+    subs, rels = np.array([0, 2]), np.array([0, 1])
+    for match, ptr, cols in [
+        ("length", [0, 2], [1, 2]),
+        ("empty", [0, 2, 2], [1, 2]),
+        ("monoton", [0, 2, 1], [1, 2]),
+        ("out of range", [0, 2, 3], [1, 2, 6]),
+        ("out of range", [0, 2, 3], [1, -2, 3]),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            batch_loss(model, None, cfg, subs, rels, np.array(ptr), np.array(cols),
+                       Tape(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("output_layer", ["softmax", "mos"])
+def test_batch_tape_holds_no_batch_by_entities_node(output_layer):
+    """The training forward puts no (batch, n_entities) matrix on the tape:
+    the fused loss keeps its softmax buffers in its ctx only."""
+    n_ent, batch = 40, 6
+    model = init_model("distmult", n_ent, 3, 4, seed=0)
+    mos = init_mos(3, 4, np.random.default_rng(1)) if output_layer == "mos" else None
+    cfg = TrainConfig(dim=4, k=3, output_layer=output_layer, entropy_weight=1e-3)
+    ptr, cols = np.arange(batch + 1), np.arange(batch) * 5
+    tape = Tape()
+    loss = batch_loss(model, mos, cfg, np.arange(batch), np.arange(batch) % 3,
+                      ptr, cols, tape, np.random.default_rng(2))
+    assert loss.value.shape == (1, 1)
+    assert [n.op for n in tape.nodes].count("mixture_xent") == 1
+    assert all(n.value.shape != (batch, n_ent) for n in tape.nodes)
 
 
 def test_entropy_reg_uniform_value():
