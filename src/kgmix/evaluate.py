@@ -6,8 +6,7 @@ true object's rank is taken.  The optimistic rank counts strictly greater
 scores; the pessimistic rank also counts ties, so a constant score row
 yields rank 1 versus rank |pool|.
 
-Both metrics come from one batch kernel, _filtered_pass; filtered_rank
-is its one-row reference.
+Both metrics come from one batch kernel, _filtered_pass.
 """
 from __future__ import annotations
 
@@ -19,32 +18,6 @@ import numpy as np
 from .graph import TripleStore, filter_rows, triple_array
 
 HITS_AT = (1, 3, 10)
-
-
-def filtered_rank(scores, true_id: int, filter_ids=(), mode: str = "optimistic") -> int:
-    """Rank of true_id within one score row after removing filter_ids.
-
-    filter_ids are excluded from the pool entirely; true_id must not be in
-    them.  Rank 1 is best.
-    """
-    z = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if not 0 <= true_id < z.size:
-        raise ValueError("true_id out of range")
-    if mode not in ("optimistic", "pessimistic"):
-        raise ValueError(f"unknown rank mode {mode!r}")
-    keep = np.ones(z.size, dtype=bool)
-    fids = np.asarray(list(filter_ids), dtype=np.int64)
-    if fids.size:
-        if (fids == true_id).any():
-            raise ValueError("true object present in its own filter set")
-        keep[fids] = False
-    keep[true_id] = False
-    target = z[true_id]
-    if mode == "optimistic":
-        better = int((z[keep] > target).sum())
-    else:
-        better = int((z[keep] >= target).sum())
-    return 1 + better
 
 
 @dataclass

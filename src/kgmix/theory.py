@@ -10,9 +10,10 @@ Three families of checks live here, all certificate-producing:
 
 * Feasible sign/ranking enumeration: which of the 2^N sign patterns (or N!
   score orderings) over N fixed embedding rows are realized by some query
-  vector h.  A batched perceptron hunts for witnesses under an iteration
-  cap; an independent geometric enumeration (hyperplane-arrangement ray
-  probes for signs, dense direction sampling for rankings) must agree.
+  vector h.  One deterministic routine puts a point in every chamber of
+  the hyperplane arrangement (rows, or pairwise row differences); each
+  point is a witness checked strictly, and the count of distinct results
+  must equal Cover's closed form for general position.
 
 * Rank probes: exact rational rank of a target adjacency versus the d+1
   ceiling of single-softmax log-probability matrices, numerical rank of
@@ -33,8 +34,8 @@ from . import linalg
 # exact rational cross-checks get slow past this many cells
 RATIONAL_CHECK_CELL_CAP = 256
 
-MAX_SIGN_ROWS = 16  # 2^N candidate patterns; keep enumeration tractable
-MAX_RANKING_ROWS = 7  # N! candidate permutations
+MAX_SIGN_ROWS = 16  # up to 2^N chambers, each with a stored witness
+MAX_RANKING_ROWS = 7  # N(N-1)/2 difference hyperplanes, up to N! chambers
 MAX_RANKING_DIM = 3
 
 
@@ -241,6 +242,22 @@ def feasible_sign_bound(n: int, d: int) -> int:
     return 2 * sum(math.comb(n - 1, i) for i in range(d))
 
 
+def feasible_ordering_bound(n: int, d: int) -> int:
+    """Count of score orderings of n generic points induced by directions
+    in R^d (Cover 1967): 2 * sum_{i<d, i = d-1 mod 2} c(n, n-i), with c the
+    unsigned Stirling numbers of the first kind.  Reaches n! once d >= n-1;
+    a single point has its one ordering."""
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    if n == 1:
+        return 1
+    c = [1]  # c(m, k) for k = 0..m, starting at m = 0
+    for m in range(n):
+        c = [(c[k - 1] if k else 0) + (m * c[k] if k < len(c) else 0)
+             for k in range(len(c) + 1)]
+    return 2 * sum(c[n - i] for i in range(d - 1, -1, -2) if i <= n)
+
+
 def _unit_rows(e: np.ndarray, tol: float, what: str) -> np.ndarray:
     norms = np.linalg.norm(e, axis=1)
     if (norms <= tol).any():
@@ -290,7 +307,7 @@ def check_general_position_rankings(e, tol: float = 1e-9) -> None:
         i, j = pairs[int(np.argmin(norms))]
         raise ValueError(f"ranking enumeration: rows {i} and {j} coincide")
     dn = diffs / norms[:, None]
-    k = min(d, len(pairs))
+    k = min(d, n - 1)  # a forest has at most n - 1 edges
     for subset in itertools.combinations(range(len(pairs)), k):
         # union-find cycle test on the chosen edges
         parent = list(range(n))
@@ -324,38 +341,60 @@ def check_general_position_rankings(e, tol: float = 1e-9) -> None:
             )
 
 
-def _perceptron_feasible(constraints: np.ndarray, cap: int):
-    """Batched perceptron over P constraint systems.
+# |a . v| at or below this (unit normal a, unit ray v) puts v on a's
+# hyperplane; the general-position checks keep every other hyperplane above
+# their 1e-9 determinant tolerance
+_ON_HYPERPLANE_TOL = 1e-10
 
-    constraints[p] is an (m, d) matrix of unit rows; system p is feasible
-    when some h satisfies constraints[p] @ h > 0 strictly.  Each system
-    gets at most `cap` updates; a found witness certifies feasibility, the
-    cap only ever declares 'not found'.
+
+def _chamber_points(a: np.ndarray) -> np.ndarray:
+    """One interior point of every chamber of the central arrangement
+    {x : a_i . x = 0}, as rows; the rows of a are unit normals.
+
+    The lineality space is quotiented out first.  Independent normals cut
+    out every sign vector, solved for directly.  Otherwise every chamber is
+    a pointed cone, so it touches a ray cut out by r - 1 independent normals
+    (r the rank).  Near that ray the chambers are those of the hyperplanes
+    through it, found by recursion in the ray's tangent space; stepping off
+    +-ray by half the smallest |a . v| of the other hyperplanes keeps their
+    signs.  Deterministic: no sampling and no iteration cap.
     """
-    c = np.asarray(constraints, dtype=np.float64)
-    p, m, d = c.shape
-    h = np.zeros((p, d))
-    feasible = np.zeros(p, dtype=bool)
-    active = np.arange(p)
-    for _ in range(cap):
-        if active.size == 0:
-            break
-        ca = c[active]
-        marg = np.einsum("amd,ad->am", ca, h[active])
-        done = marg.min(axis=1) > 0
-        if done.any():
-            feasible[active[done]] = True
-            active = active[~done]
-            ca = ca[~done]
-            marg = marg[~done]
-            if active.size == 0:
-                break
-        worst = marg.argmin(axis=1)
-        h[active] += ca[np.arange(active.size), worst]
-    if active.size:
-        marg = np.einsum("amd,ad->am", c[active], h[active])
-        feasible[active[marg.min(axis=1) > 0]] = True
-    return feasible, h
+    m, dim = a.shape
+    if m == 0:
+        return np.zeros((1, dim))
+    tol = _ON_HYPERPLANE_TOL
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    r = int((sv > tol).sum())
+    q = vt[:r]  # orthonormal rows spanning the normals
+    b = a @ q.T  # the same unit normals in R^r
+    if r == 1:
+        return np.array([[1.0], [-1.0]]) @ q
+    if r == m:
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=r)))
+        return signs @ np.linalg.inv(b).T @ q
+    subsets = np.array(list(itertools.combinations(range(m), r - 1)))
+    _, ssv, svt = np.linalg.svd(b[subsets])
+    rays = svt[ssv[:, -1] > tol, -1]  # null directions of independent subsets
+    through = np.abs(rays @ b.T) <= tol
+    _, first = np.unique(through, axis=0, return_index=True)
+    points = {}
+    for k in np.sort(first):
+        v, on = rays[k], through[k]
+        w = _chamber_points(b[on])
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        step = 0.5 * np.abs(b[~on] @ v).min()
+        y = np.concatenate([v + step * w, -v + step * w])
+        for key, point in zip(np.packbits(y @ b.T > 0, axis=1), y):
+            points.setdefault(key.tobytes(), point)
+    return np.array(list(points.values())) @ q
+
+
+def _require_closed_form(what: str, found: int, closed_form: int) -> None:
+    if found != closed_form:
+        raise RuntimeError(
+            f"{what}: found {found} with strict witnesses, closed form "
+            f"{closed_form} for rows in general position"
+        )
 
 
 @dataclass
@@ -371,98 +410,27 @@ class SignEnumeration:
         return len(self.patterns)
 
 
-def _sign_patterns_by_rays(en: np.ndarray, tol: float = 1e-12) -> set:
-    """Enumerate arrangement chambers by probing around extreme rays.
-
-    Every chamber of the central arrangement {x: e_i . x = 0} is a pointed
-    cone (the rows span R^d), so it touches a ray cut out by some d-1 of
-    the hyperplanes.  Probing both ray directions, displaced along the dual
-    basis of those d-1 normals with every sign combination, visits every
-    chamber; each probe's own sign vector is feasible by construction.
-    """
-    n, d = en.shape
-
-    def pattern(h):
-        s = en @ h
-        if (np.abs(s) <= tol).any():
-            return None
-        return tuple(1 if x > 0 else -1 for x in s)
-
-    out = set()
-    if d == 1:
-        for h in (np.array([1.0]), np.array([-1.0])):
-            p = pattern(h)
-            if p:
-                out.add(p)
-        return out
-    if n < d:
-        # rows are independent: every sign vector is realized exactly
-        for y in itertools.product((1.0, -1.0), repeat=n):
-            h, *_ = np.linalg.lstsq(en, np.array(y), rcond=None)
-            p = pattern(h)
-            if p:
-                out.add(p)
-        return out
-    for subset in itertools.combinations(range(n), d - 1):
-        b = en[list(subset)]
-        v = np.linalg.svd(b)[2][-1]  # unit null direction of the d-1 rows
-        others = [j for j in range(n) if j not in subset]
-        gaps = np.abs(en[others] @ v)
-        gap = gaps.min()
-        if gap <= tol:
-            continue  # ray lies on another hyperplane; genericity check failed
-        dual = b.T @ np.linalg.inv(b @ b.T)  # columns w_i with b @ w_i = basis
-        wmax = np.linalg.norm(dual, axis=0).max()
-        delta = gap / (2.0 * (d - 1) * wmax)
-        for tau in (1.0, -1.0):
-            base = tau * v
-            for sigmas in itertools.product((1.0, -1.0), repeat=d - 1):
-                h = base + delta * (dual @ np.array(sigmas))
-                p = pattern(h)
-                if p:
-                    out.add(p)
-    return out
-
-
-def enumerate_feasible_signs(
-    e, cross_check: bool = True, cap_factor: int = 10_000
-) -> SignEnumeration:
+def enumerate_feasible_signs(e) -> SignEnumeration:
     """All sign patterns sign(E @ h) realized by some h, with witnesses.
 
-    Tests each of the 2^n candidate patterns with a capped batched
-    perceptron, then (by default) independently re-enumerates chambers
-    geometrically; the two sets must agree or a RuntimeError is raised.
+    Takes one point in every chamber of the arrangement {h : e_i . h = 0}
+    and keeps each pattern its point realizes strictly.  The count must
+    equal feasible_sign_bound (Cover 1965), or a RuntimeError is raised.
     """
     e = linalg.as_matrix(e)
     n, d = e.shape
     if n > MAX_SIGN_ROWS:
         raise ValueError(f"sign enumeration capped at {MAX_SIGN_ROWS} rows")
     check_general_position_signs(e)
-    en = _unit_rows(e, 1e-9, "sign enumeration")
-
-    candidates = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    systems = candidates[:, :, None] * en[None, :, :]
-    feasible, h = _perceptron_feasible(systems, cap_factor * n * d)
-
-    found = {
-        tuple(int(x) for x in candidates[i]): h[i]
-        for i in np.flatnonzero(feasible)
-    }
-    if cross_check:
-        geometric = _sign_patterns_by_rays(en)
-        if geometric != set(found):
-            missing = geometric - set(found)
-            extra = set(found) - geometric
-            raise RuntimeError(
-                "sign enumeration methods disagree: "
-                f"perceptron missed {sorted(missing)}, extra {sorted(extra)}"
-            )
+    found = {}
+    for h in _chamber_points(_unit_rows(e, 1e-9, "sign enumeration")):
+        s = e @ h
+        if (s != 0).all():
+            found.setdefault(tuple(1 if x > 0 else -1 for x in s), h)
+    bound = feasible_sign_bound(n, d)
+    _require_closed_form("sign enumeration", len(found), bound)
     return SignEnumeration(
-        n=n,
-        dim=d,
-        patterns=sorted(found),
-        bound=feasible_sign_bound(n, d),
-        witnesses=found,
+        n=n, dim=d, patterns=sorted(found), bound=bound, witnesses=found
     )
 
 
@@ -478,35 +446,13 @@ class RankingEnumeration:
         return len(self.rankings)
 
 
-def _rankings_by_sampling(e: np.ndarray, n_probes: int, seed: int) -> set:
-    rng = np.random.default_rng(seed)
-    n, d = e.shape
-    out = set()
-    chunk = 100_000
-    remaining = n_probes
-    while remaining > 0:
-        take = min(chunk, remaining)
-        h = rng.standard_normal((take, d))
-        scores = h @ e.T
-        order = np.argsort(-scores, axis=1)
-        out.update(map(tuple, order.tolist()))
-        remaining -= take
-    return out
-
-
-def enumerate_feasible_rankings(
-    e,
-    cross_check: bool = True,
-    cap_factor: int = 10_000,
-    n_probes: int = 1_000_000,
-    seed: int = 0,
-) -> RankingEnumeration:
+def enumerate_feasible_rankings(e) -> RankingEnumeration:
     """All total score orderings argsort(E @ h) realized by some h.
 
-    Each of the n! candidate permutations becomes a chain of n-1 strict
-    difference constraints, decided by the capped batched perceptron.  The
-    default cross-check re-derives the set from a million random probe
-    directions and must agree exactly.
+    Takes one point in every chamber of the arrangement of pairwise
+    difference hyperplanes {h : (e_i - e_j) . h = 0} and keeps each
+    ordering its point realizes strictly.  The count must equal
+    feasible_ordering_bound (Cover 1967), or a RuntimeError is raised.
     """
     e = linalg.as_matrix(e)
     n, d = e.shape
@@ -515,29 +461,18 @@ def enumerate_feasible_rankings(
     if d > MAX_RANKING_DIM:
         raise ValueError(f"ranking enumeration capped at dim {MAX_RANKING_DIM}")
     check_general_position_rankings(e)
-
-    perms = list(itertools.permutations(range(n)))
-    systems = np.empty((len(perms), n - 1, d))
-    for i, perm in enumerate(perms):
-        idx = np.array(perm)
-        diffs = e[idx[:-1]] - e[idx[1:]]
-        systems[i] = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-    feasible, h = _perceptron_feasible(systems, cap_factor * n * d)
-    found = {perms[i]: h[i] for i in np.flatnonzero(feasible)}
-
-    if cross_check:
-        sampled = _rankings_by_sampling(e, n_probes, seed)
-        if sampled != set(found):
-            missing = sampled - set(found)
-            extra = set(found) - sampled
-            raise RuntimeError(
-                "ranking enumeration methods disagree: "
-                f"perceptron missed {sorted(missing)}, sampling missed "
-                f"{sorted(extra)}"
-            )
-    return RankingEnumeration(
-        n=n, dim=d, rankings=sorted(found), witnesses=found
+    i, j = np.triu_indices(n, 1)
+    normals = _unit_rows(e[i] - e[j], 1e-9, "ranking enumeration")
+    found = {}
+    for h in _chamber_points(normals):
+        s = e @ h
+        order = np.argsort(-s)
+        if (s[order[:-1]] > s[order[1:]]).all():
+            found.setdefault(tuple(order.tolist()), h)
+    _require_closed_form(
+        "ranking enumeration", len(found), feasible_ordering_bound(n, d)
     )
+    return RankingEnumeration(n=n, dim=d, rankings=sorted(found), witnesses=found)
 
 
 # ---- rank obstructions and probes ----

@@ -13,7 +13,7 @@ _DESCRIPTIONS = {
     2: "sign decomposition verified on 200 random adjacencies in 2c+1 columns",
     3: "finite-difference certification of every op and full model losses",
     4: "log-probability rank ceiling d+1 for k=1, escape with k=4",
-    5: "feasible sign/ranking enumeration matches bound, methods agree",
+    5: "feasible sign/ranking enumeration matches the closed forms, witnesses certify",
     6: "ranking metrics and filtered NLL match naive references",
     7: "k=4 mixture beats k=1 on a rank-6 toy target, all seeds",
     8: "stretch benchmark run (optional, needs dataset + opt-in)",

@@ -362,14 +362,15 @@ def test_criterion_4_logprob_rank_law():
 def test_criterion_5_feasibility_counts():
     """For every (rows <= 6, dim <= 3) with generic random embeddings the
     enumerated sign patterns hit the closed-form count exactly, and with
-    dim 1 exactly two score orderings exist.  Both enumerations run their
-    built-in independent cross-check, which raises on any disagreement."""
+    dim 1 exactly two score orderings exist.  Every witness realizes its
+    pattern, and both enumerations raise unless their count equals the
+    closed form."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     for n in range(1, 7):
         for d in range(1, 4):
             e = rng.standard_normal((n, d))
-            enum = enumerate_feasible_signs(e, cross_check=True)
+            enum = enumerate_feasible_signs(e)
             want = feasible_sign_bound(n, d)
             assert enum.count == want, (n, d, enum.count, want)
             for pattern, h in enum.witnesses.items():
@@ -377,7 +378,7 @@ def test_criterion_5_feasibility_counts():
                 assert tuple(1 if v > 0 else -1 for v in s) == pattern
     for n in range(2, 7):
         e = rng.standard_normal((n, 1))
-        renum = enumerate_feasible_rankings(e, cross_check=True)
+        renum = enumerate_feasible_rankings(e)
         assert renum.count == 2, (n, renum.count)
         first, second = renum.rankings
         assert first == tuple(reversed(second))

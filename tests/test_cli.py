@@ -236,6 +236,12 @@ def test_analyze_rankings():
     assert out["rankings"][0] == out["rankings"][1][::-1]
 
 
+def test_analyze_rankings_thin_chamber():
+    """Seed 11 has orderings whose chambers a million random directions miss."""
+    out = run_json(["analyze", "rankings", "--n", 5, "--dim", 3, "--seed", 11])
+    assert out["count"] == 72 == len(out["rankings"])
+
+
 def test_analyze_decompose_random():
     out = run_json([
         "analyze", "decompose", "--rows", 5, "--cols", 6, "--max-degree", 2,

@@ -7,10 +7,36 @@ from kgmix.evaluate import (
     HITS_AT,
     evaluate_model,
     filtered_nll,
-    filtered_rank,
     ranking_metrics,
 )
 from kgmix.graph import TripleStore, build_query_index
+
+
+def filtered_rank(scores, true_id: int, filter_ids=(), mode: str = "optimistic") -> int:
+    """Rank of true_id within one score row after removing filter_ids: the
+    one-row reference for the batch kernel in kgmix.evaluate.
+
+    filter_ids are excluded from the pool entirely; true_id must not be in
+    them.  Rank 1 is best.
+    """
+    z = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if not 0 <= true_id < z.size:
+        raise ValueError("true_id out of range")
+    if mode not in ("optimistic", "pessimistic"):
+        raise ValueError(f"unknown rank mode {mode!r}")
+    keep = np.ones(z.size, dtype=bool)
+    fids = np.asarray(list(filter_ids), dtype=np.int64)
+    if fids.size:
+        if (fids == true_id).any():
+            raise ValueError("true object present in its own filter set")
+        keep[fids] = False
+    keep[true_id] = False
+    target = z[true_id]
+    if mode == "optimistic":
+        better = int((z[keep] > target).sum())
+    else:
+        better = int((z[keep] >= target).sum())
+    return 1 + better
 
 
 def test_filtered_rank_basics():

@@ -1,13 +1,16 @@
 """Sign decompositions, feasible sign/ranking enumeration, and rank
 obstructions, each checked against frozen worked examples, closed-form
 chamber counts, or an independent symbolic oracle."""
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
+from kgmix import theory
 from kgmix.linalg import numerical_rank
 from kgmix.mos import init_mos, mixture_log_prob
 from kgmix.autodiff import Tape
@@ -22,6 +25,7 @@ from kgmix.theory import (
     dr_obstruction_check,
     enumerate_feasible_rankings,
     enumerate_feasible_signs,
+    feasible_ordering_bound,
     feasible_sign_bound,
     logprob_rank_probe,
     random_adjacency,
@@ -188,6 +192,21 @@ def test_feasible_sign_bound_values():
         feasible_sign_bound(3, 0)
 
 
+def test_feasible_ordering_bound_values():
+    """Cover 1967 against the counts the enumerators reach."""
+    for (n, d), want in {(4, 2): 12, (5, 2): 20, (5, 3): 72, (6, 2): 30,
+                         (6, 3): 172, (7, 2): 42, (7, 3): 352}.items():
+        assert feasible_ordering_bound(n, d) == want, (n, d)
+    for n in range(1, 9):
+        assert feasible_ordering_bound(n, 1) == min(n, 2)  # a line: 2 ways
+        for d in range(max(n - 1, 1), n + 4):
+            assert feasible_ordering_bound(n, d) == math.factorial(n), (n, d)
+    with pytest.raises(ValueError):
+        feasible_ordering_bound(0, 1)
+    with pytest.raises(ValueError):
+        feasible_ordering_bound(3, 0)
+
+
 # ---- sign enumeration ----
 
 
@@ -320,23 +339,106 @@ def test_check_general_position_rankings_accepts_generic():
     check_general_position_rankings(rng.standard_normal((5, 3)))
 
 
-def test_cross_checks_agree_on_random_instances():
-    """The perceptron and the geometric enumerations raise RuntimeError on
-    any disagreement; agreeing silently on random instances is the test."""
+def test_counts_equal_closed_forms_on_random_instances():
+    """Both enumerators raise RuntimeError unless their count equals the
+    closed form; the counts and strict witnesses are checked here too."""
     rng = np.random.default_rng(11)
     for _ in range(15):
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, 4))
         e = rng.standard_normal((n, d))
-        enum = enumerate_feasible_signs(e, cross_check=True)
-        assert enum.count <= min(enum.bound, 2**n)
+        enum = enumerate_feasible_signs(e)
+        assert enum.count == enum.bound == feasible_sign_bound(n, d), (n, d)
+        assert _signs_certified(e, enum)
     for _ in range(8):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 3))
         e = rng.standard_normal((n, d))
-        renum = enumerate_feasible_rankings(e, cross_check=True,
-                                            n_probes=200_000)
-        assert 2 <= renum.count <= math.factorial(n)
+        renum = enumerate_feasible_rankings(e)
+        assert renum.count == feasible_ordering_bound(n, d), (n, d)
+        assert _rankings_certified(e, renum)
+
+
+def _signs_certified(e, enum):
+    return all(((e @ enum.witnesses[p]) * np.array(p) > 0).all()
+               for p in enum.patterns)
+
+
+def _rankings_certified(e, enum):
+    for perm in enum.rankings:
+        s = (e @ enum.witnesses[perm])[list(perm)]
+        if not (s[:-1] > s[1:]).all():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind, n, d, seed, want", [
+    ("rankings", 5, 3, 11, 72),  # a thin chamber that direction sampling missed
+    ("rankings", 6, 3, 0, 172),
+    ("rankings", 7, 2, 0, 42),
+    ("rankings", 7, 3, 0, 352),
+    ("signs", 10, 3, 0, 92),
+    ("signs", 16, 3, 0, 242),
+])
+def test_enumeration_regressions(kind, n, d, seed, want):
+    e = np.random.default_rng(seed).standard_normal((n, d))
+    t0 = time.perf_counter()
+    if kind == "signs":
+        enum = enumerate_feasible_signs(e)
+        certified = _signs_certified(e, enum)
+    else:
+        enum = enumerate_feasible_rankings(e)
+        certified = _rankings_certified(e, enum)
+    assert time.perf_counter() - t0 < 5.0
+    assert enum.count == want
+    assert certified
+
+
+def test_enumerate_rankings_single_row():
+    for d in (1, 2, 3):
+        enum = enumerate_feasible_rankings(np.ones((1, d)))
+        assert enum.rankings == [(0,)]
+        assert enum.witnesses[(0,)].shape == (d,)
+
+
+def test_enumerations_are_deterministic():
+    e = np.random.default_rng(3).standard_normal((6, 3))
+    for fn in (enumerate_feasible_signs, enumerate_feasible_rankings):
+        first, second = fn(e), fn(e)
+        assert first.witnesses.keys() == second.witnesses.keys()
+        for key, h in first.witnesses.items():
+            assert np.array_equal(h, second.witnesses[key])
+
+
+def test_chamber_points_on_a_non_generic_arrangement():
+    """The 13 planes with normals in {-1, 0, 1}^3 meet up to four at a ray.
+    A rank-3 arrangement has 2 (1 + sum over rays of (planes on it - 1))
+    chambers (Zaslavsky); the rays come from exact integer cross products."""
+    normals = np.array([v for v in itertools.product((-1, 0, 1), repeat=3)
+                        if v > (0, 0, 0)])
+    rays = {}
+    for i, j in itertools.combinations(range(len(normals)), 2):
+        c = np.cross(normals[i], normals[j])
+        c //= np.gcd.reduce(np.abs(c))
+        rays.setdefault(tuple(c) if tuple(c) > (0, 0, 0) else tuple(-c),
+                        set()).update((i, j))
+    assert max(len(on) for on in rays.values()) == 4
+    want = 2 * (1 + sum(len(on) - 1 for on in rays.values()))
+    unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    margins = theory._chamber_points(unit) @ unit.T
+    assert (np.abs(margins) > 1e-6).all()
+    assert len({tuple(row) for row in margins > 0}) == len(margins) == want
+
+
+def test_enumerations_raise_below_the_closed_form(monkeypatch):
+    """Chambers left without a point are reported, with both counts."""
+    full = theory._chamber_points
+    monkeypatch.setattr(theory, "_chamber_points", lambda a: full(a)[1:])
+    e = np.random.default_rng(0).standard_normal((5, 2))
+    with pytest.raises(RuntimeError, match=r"found \d+ .*, closed form 10 "):
+        enumerate_feasible_signs(e)
+    with pytest.raises(RuntimeError, match=r"found \d+ .*, closed form 20 "):
+        enumerate_feasible_rankings(e)
 
 
 # ---- rank obstructions ----
