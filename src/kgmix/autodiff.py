@@ -5,7 +5,8 @@ returns it.  backward() walks the tape once in reverse, accumulating
 adjoints into Parameter.grad.  The op set is deliberately closed: each op
 has a hand-written adjoint, and finite_difference_check certifies all of
 them against central differences.  The training loss is one fused op,
-mixture_xent, so no (batch x entities) matrix goes on a training tape.
+mixture_xent, and the inference head is numpy (mos.head_log_probs), so no
+(batch x entities) matrix goes on any tape.
 """
 from __future__ import annotations
 
@@ -38,6 +39,13 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
+def log_softmax_rows(z: np.ndarray) -> np.ndarray:
+    """z - (max + log sum exp(z - max)) along rows, written into z."""
+    mx = z.max(axis=1, keepdims=True)
+    z -= mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True))
+    return z
+
+
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out)) for a 2-D weight."""
     if len(shape) != 2:
@@ -57,10 +65,9 @@ class BatchNormState:
 
 
 class Node:
-    __slots__ = ("tape", "idx", "op", "value", "parents", "ctx", "param")
+    __slots__ = ("idx", "op", "value", "parents", "ctx", "param")
 
-    def __init__(self, tape, idx, op, value, parents=(), ctx=None, param=None):
-        self.tape = tape
+    def __init__(self, idx, op, value, parents=(), ctx=None, param=None):
         self.idx = idx
         self.op = op
         self.value = value
@@ -93,8 +100,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 class Tape:
     """Records a forward pass; replays it in reverse for gradients.
 
-    As a context manager it drops its nodes on exit: they point back at the
-    tape, so otherwise their arrays wait for the cyclic garbage collector.
+    As a context manager it drops its nodes on exit, so a node kept past
+    the block (train_loop keeps each batch's loss) does not keep alive, by
+    its parents, every node and array it was computed from.
     """
 
     def __init__(self):
@@ -109,7 +117,7 @@ class Tape:
         self._param_nodes.clear()
 
     def _record(self, op, value, parents=(), ctx=None, param=None) -> Node:
-        node = Node(self, len(self.nodes), op, value, tuple(parents), ctx, param)
+        node = Node(len(self.nodes), op, value, tuple(parents), ctx, param)
         self.nodes.append(node)
         return node
 
@@ -143,6 +151,8 @@ class Tape:
         return self._record("concat_cols", value, (a, b), {"split": a.value.shape[1]})
 
     def slice_cols(self, x: Node, start: int, stop: int) -> Node:
+        """Columns start:stop of x.  Kept, with stack_logsumexp, for the
+        tests' unfused mixture reference; no model records it."""
         if not (0 <= start < stop <= x.value.shape[1]):
             raise ValueError(f"bad column slice [{start}:{stop}]")
         value = np.ascontiguousarray(x.value[:, start:stop])
@@ -230,12 +240,12 @@ class Tape:
         return self._record("row_softmax", value, (x,))
 
     def row_log_softmax(self, x: Node) -> Node:
-        mx = x.value.max(axis=1, keepdims=True)
-        lse = mx + np.log(np.exp(x.value - mx).sum(axis=1, keepdims=True))
-        return self._record("row_log_softmax", x.value - lse, (x,))
+        return self._record("row_log_softmax", log_softmax_rows(x.value.copy()), (x,))
 
     def stack_logsumexp(self, xs: list[Node]) -> Node:
-        """Elementwise log(sum_k exp(xs[k])) over same-shaped nodes."""
+        """Elementwise log(sum_k exp(xs[k])) over same-shaped nodes.  Kept,
+        with slice_cols, for the tests' unfused mixture reference (checked
+        against mixture_xent and mos.head_log_probs); no model records it."""
         if not xs:
             raise ValueError("stack_logsumexp needs at least one node")
         shape = xs[0].value.shape
@@ -335,7 +345,7 @@ class Tape:
 
     def backward(self, loss: Node):
         """Accumulate d(loss)/d(param) into each Parameter.grad."""
-        if loss.tape is not self:
+        if loss.idx >= len(self.nodes) or self.nodes[loss.idx] is not loss:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.shape != (1, 1):
             raise ValueError("backward expects a 1x1 loss node")
@@ -481,16 +491,16 @@ def _mixture_xent_rule(node: Node, g: np.ndarray):
 def finite_difference_check(build, params, eps: float = 1e-6) -> float:
     """Certify tape gradients against central differences.
 
-    build() must deterministically construct a fresh forward pass and return
-    its 1x1 loss node.  Every entry of every parameter in `params` is
-    perturbed by +-eps.  Returns the maximum relative error, where the
-    denominator is floored at 1e-3 so that entries with near-zero gradient
-    are compared absolutely at that scale.
+    build(tape) must deterministically record a fresh forward pass on the
+    new Tape it is given and return its 1x1 loss node.  Every entry of
+    every parameter in `params` is perturbed by +-eps.  Returns the maximum
+    relative error, where the denominator is floored at 1e-3 so that
+    entries with near-zero gradient are compared absolutely at that scale.
     """
     for p in params:
         p.zero_grad()
-    loss = build()
-    loss.tape.backward(loss)
+    tape = Tape()
+    tape.backward(build(tape))
     analytic = [p.grad.copy() for p in params]
 
     worst = 0.0
@@ -500,9 +510,9 @@ def finite_difference_check(build, params, eps: float = 1e-6) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = float(build().value[0, 0])
+            f_plus = float(build(Tape()).value[0, 0])
             flat[i] = orig - eps
-            f_minus = float(build().value[0, 0])
+            f_minus = float(build(Tape()).value[0, 0])
             flat[i] = orig
             fd = (f_plus - f_minus) / (2.0 * eps)
             denom = max(abs(fd), abs(gflat[i]), 1e-3)

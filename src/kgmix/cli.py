@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evaluate as eval_mod
 from . import linalg, theory
-from .graph import augment_inverse, build_query_index, dataset_stats, load_triples
+from .graph import augment_inverse, dataset_stats, load_triples, query_labels
 from .models import Scorer, init_model, load_checkpoint, save_checkpoint
 from .mos import init_mos
 from .train import TrainConfig, train_loop
@@ -227,17 +227,16 @@ DECOMPOSE_CELL_CAP = 2_000_000
 
 def _dataset_adjacency(path: str):
     store = load_triples(path)
-    index = build_query_index(store, ("train", "valid", "test"))
-    pairs = index.queries()
-    cells = len(pairs) * store.n_entities
+    _, _, ptr, cols = query_labels(store, ("train", "valid", "test"))
+    n_pairs = len(ptr) - 1
+    cells = n_pairs * store.n_entities
     if cells > DECOMPOSE_CELL_CAP:
         raise ValueError(
             f"adjacency would have {cells} cells "
             f"(cap {DECOMPOSE_CELL_CAP}); use a smaller dataset"
         )
-    adj = np.zeros((len(pairs), store.n_entities), dtype=np.int64)
-    for i, (s, r) in enumerate(pairs):
-        adj[i, index.get(s, r)] = 1
+    adj = np.zeros((n_pairs, store.n_entities), dtype=np.int64)
+    adj[np.repeat(np.arange(n_pairs), np.diff(ptr)), cols] = 1
     return adj
 
 

@@ -1,4 +1,4 @@
-"""Triple stores: loading, inverse augmentation, query indexing, degree stats.
+"""Triple stores: loading, inverse augmentation, CSR query rows, degree stats.
 
 A dataset is a directory with train.txt / valid.txt / test.txt (valid and
 test optional), or a single file treated as a train-only split.  Lines are
@@ -11,7 +11,6 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
-from statistics import median
 
 import numpy as np
 
@@ -234,6 +233,16 @@ def filter_rows(store: TripleStore, splits, subjects, relations):
     return ptr, picked % n_ent
 
 
+def query_labels(store: TripleStore, splits=("train",)):
+    """The sorted unique queries of the splits as (subjects, relations, ptr,
+    cols): query i's sorted true objects are the CSR row cols[ptr[i]:ptr[i +
+    1]]."""
+    t = triple_array(store.all_triples(splits))
+    subs, rels = np.divmod(np.unique(t[:, 0] * store.n_relations + t[:, 1]),
+                           store.n_relations)
+    return (subs, rels, *filter_rows(store, splits, subs, rels))
+
+
 def csr_take(starts, counts, values):
     """CSR rows (ptr, picked) holding the runs values[starts[i]:starts[i] +
     counts[i]], in the order given, gathered without a Python loop."""
@@ -244,7 +253,7 @@ def csr_take(starts, counts, values):
 
 @dataclass
 class DegreeStats:
-    """Out-degree aggregates over the (subject, relation) pairs of an index."""
+    """Out-degree aggregates over the (subject, relation) pairs of some splits."""
 
     pairs: int
     triples: int
@@ -259,16 +268,15 @@ def degree_stats(store: TripleStore, splits=("train", "valid", "test")) -> Degre
     Only pairs with at least one object are counted, so the sum of degrees
     equals the number of distinct indexed triples.
     """
-    index = build_query_index(store, splits)
-    degs = [len(v) for v in index.objects.values()]
-    if not degs:
+    degs = np.diff(query_labels(store, splits)[2])
+    if not degs.size:
         return DegreeStats(pairs=0, triples=0, mean=0.0, median=0.0, max=0)
     return DegreeStats(
         pairs=len(degs),
-        triples=sum(degs),
-        mean=sum(degs) / len(degs),
-        median=float(median(degs)),
-        max=max(degs),
+        triples=int(degs.sum()),
+        mean=int(degs.sum()) / len(degs),
+        median=float(np.median(degs)),
+        max=int(degs.max()),
     )
 
 

@@ -145,17 +145,14 @@ def encode(
     return h
 
 
-def score_all(model: ModelParams, h: Node, tape: Tape) -> Node:
-    """Scores for every entity: Z = H @ E^T, rank at most dim."""
-    return tape.matmul(h, tape.param(model.entities), transpose_b=True)
-
-
 class Scorer:
     """Inference-mode scoring over all entities for evaluation.
 
-    scores() returns what rankings should sort on (raw bilinear scores for
-    the plain layer, mixture log-probabilities otherwise); log_probs()
-    always returns normalized log-probabilities.
+    Only the encoder and mixture_states run on a tape, so it holds no
+    (batch, entities) node; both layers share the numpy output head
+    mos.head_log_probs.  scores() returns what rankings should sort on (raw
+    H @ E^T for the plain layer, mixture log-probabilities otherwise);
+    log_probs() always returns normalized log-probabilities.
     """
 
     def __init__(self, model: ModelParams, mos=None, slope: float = 0.01):
@@ -163,31 +160,29 @@ class Scorer:
         self.mos = mos
         self.slope = slope
 
-    def _head(self, h: Node, tape: Tape, want_log: bool) -> np.ndarray:
-        if self.mos is not None:
-            e_node = tape.param(self.model.entities)
-            return mos_mod.mixture_log_prob(
-                self.mos, h, e_node, tape, training=False, slope=self.slope
-            ).value
-        z = score_all(self.model, h, tape)
-        return (tape.row_log_softmax(z) if want_log else z).value
-
-    def _forward(self, subjects, relations, want_log: bool) -> np.ndarray:
-        with Tape() as tape:
-            h = encode(self.model, subjects, relations, tape, training=False,
-                       slope=self.slope)
-            return self._head(h, tape, want_log)
+    def _head(self, h: Node, tape: Tape) -> np.ndarray:
+        entities = self.model.entities.value
+        if self.mos is None:
+            return mos_mod.head_log_probs([h.value], entities)
+        log_pi, states = mos_mod.mixture_states(self.mos, h, tape, slope=self.slope)
+        return mos_mod.head_log_probs([s.value for s in states], entities, log_pi.value)
 
     def scores(self, subjects, relations) -> np.ndarray:
-        return self._forward(subjects, relations, want_log=False)
+        with Tape() as tape:
+            h = encode(self.model, subjects, relations, tape, slope=self.slope)
+            if self.mos is None:
+                return h.value @ self.model.entities.value.T
+            return self._head(h, tape)
 
     def log_probs(self, subjects, relations) -> np.ndarray:
-        return self._forward(subjects, relations, want_log=True)
+        with Tape() as tape:
+            h = encode(self.model, subjects, relations, tape, slope=self.slope)
+            return self._head(h, tape)
 
     def log_probs_from_states(self, states) -> np.ndarray:
         """Log-probabilities for raw query states H, bypassing the encoder."""
         with Tape() as tape:
-            return self._head(tape.constant(states), tape, want_log=True)
+            return self._head(tape.constant(states), tape)
 
 
 # ---- checkpoint io ----

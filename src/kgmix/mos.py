@@ -4,9 +4,11 @@ A single softmax over H @ E^T has a log-probability matrix of rank at most
 d+1.  The mixture blends K softmaxes, each over a separately projected copy
 of H, with query-dependent priors; for K >= 2 the blend is no longer
 log-linear in H and escapes that rank ceiling.  mixture_states builds the
-log-priors and the projected states; training feeds them to the fused
-Tape.mixture_xent loss, and mixture_log_prob blends the full log-probability
-matrix for inference.  All mixing happens in log space through logsumexp.
+log-priors and the projected states on a tape; training feeds them to the
+fused Tape.mixture_xent loss, and inference feeds their values to
+head_log_probs.  That head mixes the components in probability space,
+p = sum_k pi_k softmax(Z_k) (Yang et al. 2018), under a per-row shift, and
+falls back to log space only for rows whose mixture underflows there.
 """
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import BatchNormState, Node, Parameter, Tape, xavier_uniform
+from .autodiff import (
+    BatchNormState, Node, Parameter, Tape, log_softmax_rows, xavier_uniform,
+)
 
 
 @dataclass
@@ -150,23 +154,43 @@ def mixture_states(
     return log_pi, states
 
 
-def mixture_log_prob(
-    mos: MosParams,
-    h: Node,
-    entities: Node,
-    tape: Tape,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-    slope: float = 0.01,
-) -> Node:
-    """log sum_k pi_k(H) softmax(f_k(H) @ E^T), evaluated in log space."""
-    log_pi, states = mixture_states(mos, h, tape, training, dropout, rng, slope)
-    terms = [
-        tape.add(
-            tape.row_log_softmax(tape.matmul(hk, entities, transpose_b=True)),
-            tape.slice_cols(log_pi, k, k + 1),
-        )
-        for k, hk in enumerate(states)
-    ]
-    return tape.stack_logsumexp(terms)
+def head_log_probs(states, entities, log_pi=None) -> np.ndarray:
+    """log sum_k pi_k softmax(states[k] @ E^T) from numpy arrays, with the
+    log-priors log pi in the columns of log_pi; the plain softmax passes
+    one state and log_pi=None.
+
+    One component is log_softmax_rows, bitwise the tape's row_log_softmax
+    (a one-column log_pi is exactly 0).  For more, each Z_k is shifted by
+    its row max and exponentiated in one reused buffer, then added into one
+    accumulator with weight pi_k / (s_k max_k pi_k), s_k its row sum: the
+    row is shifted by its largest log-prior, so each entry stays at or
+    below k.  A row whose accumulator falls below the smallest normal float
+    has lost digits to underflow and is recomputed in log space as
+    logsumexp_k(log pi_k + Z_k - lse_k), so it stays finite (e.g. -800).
+    """
+    if len(states) == 1:
+        out = log_softmax_rows(states[0] @ entities.T)
+        return out if log_pi is None else out + log_pi
+    if log_pi is None:
+        raise ValueError("head_log_probs needs log_pi for more than one component")
+    shift = log_pi.max(axis=1, keepdims=True)
+    acc = np.zeros((len(log_pi), len(entities)))
+    z = None
+    for k, h in enumerate(states):
+        z = np.matmul(h, entities.T, out=z)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z *= np.exp(log_pi[:, k : k + 1] - shift) / z.sum(axis=1, keepdims=True)
+        acc += z
+    bad = np.flatnonzero(acc.min(axis=1) < np.finfo(np.float64).tiny)
+    with np.errstate(divide="ignore"):
+        np.log(acc, out=acc)
+    acc += shift
+    if bad.size:
+        stacked = np.stack([
+            log_softmax_rows(h[bad] @ entities.T) + log_pi[bad, k : k + 1]
+            for k, h in enumerate(states)
+        ])
+        mx = stacked.max(axis=0)
+        acc[bad] = mx + np.log(np.exp(stacked - mx).sum(axis=0))
+    return acc

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .evaluate import ranking_metrics
-from .graph import TripleStore, csr_take, filter_rows, triple_array
+from .graph import TripleStore, csr_take, query_labels
 from .models import ENCODERS, ModelParams, Scorer, encode, init_model, state_arrays
 from .mos import MosParams, init_mos, mixture_states, priors
 
@@ -67,17 +67,6 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.entropy_weight < 0:
             raise ValueError("entropy_weight must be non-negative")
-
-
-def query_labels(store: TripleStore):
-    """The sorted unique train queries, in QueryIndex.queries() order, as
-    (subjects, relations, ptr, cols): query i's true objects are the CSR
-    label row cols[ptr[i]:ptr[i + 1]]."""
-    t = triple_array(store.train)
-    subs, rels = np.divmod(np.unique(t[:, 0] * store.n_relations + t[:, 1]),
-                           store.n_relations)
-    ptr, cols = filter_rows(store, ("train",), subs, rels)
-    return subs, rels, ptr, cols
 
 
 def entropy_reg(pi: Node, tape: Tape) -> Node:
@@ -204,7 +193,7 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
     params = model.parameters() + (mos_params.parameters() if mos_params else [])
     opt = Adam(params, config.resolved_lr())
 
-    subs, rels, ptr, cols = query_labels(store)
+    subs, rels, ptr, cols = query_labels(store, ("train",))
     counts = np.diff(ptr)
     n_queries = len(subs)
     has_valid = len(store.valid) > 0

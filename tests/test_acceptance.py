@@ -5,17 +5,20 @@ criterion.  Benchmark-dataset checks skip, with instructions, when the
 dataset is not on disk; everything else runs everywhere, with tolerances
 and runtime budgets pinned in the assertions.
 """
+import inspect
 import json
 import os
+import re
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kgmix import autodiff, models
 from kgmix.autodiff import BatchNormState, Parameter, Tape, finite_difference_check
 from kgmix.evaluate import filtered_nll, ranking_metrics
-from kgmix.graph import TripleStore, build_query_index, dataset_stats, load_triples
+from kgmix.graph import TripleStore, dataset_stats, load_triples, query_labels
 from kgmix.models import Scorer, init_model
 from kgmix.mos import init_mos
 from kgmix.theory import (
@@ -120,16 +123,14 @@ def _op_cases():
     a = Parameter("a", rng.standard_normal((4, 3)))
     b = Parameter("b", rng.standard_normal((3, 5)))
 
-    def build_matmul():
-        t = Tape()
+    def build_matmul(t):
         return _weighted(t, t.matmul(t.param(a), t.param(b)), w45)
 
     yield "matmul", [a, b], build_matmul, False
 
     bt = Parameter("bt", rng.standard_normal((5, 3)))
 
-    def build_matmul_t():
-        t = Tape()
+    def build_matmul_t(t):
         return _weighted(t, t.matmul(t.param(a), t.param(bt), transpose_b=True), w45)
 
     yield "matmul_transpose", [a, bt], build_matmul_t, False
@@ -137,16 +138,13 @@ def _op_cases():
     x = Parameter("x", rng.standard_normal((4, 3)))
     y = Parameter("y", rng.standard_normal((1, 3)))  # broadcast across rows
 
-    def build_add():
-        t = Tape()
+    def build_add(t):
         return _weighted(t, t.add(t.param(x), t.param(y)), w43)
 
-    def build_subtract():
-        t = Tape()
+    def build_subtract(t):
         return _weighted(t, t.subtract(t.param(x), t.param(y)), w43)
 
-    def build_hadamard():
-        t = Tape()
+    def build_hadamard(t):
         return _weighted(t, t.hadamard(t.param(x), t.param(y)), w43)
 
     yield "add", [x, y], build_add, False
@@ -156,8 +154,7 @@ def _op_cases():
     aw = Parameter("aw", rng.standard_normal((5, 3)))
     ab = Parameter("ab", rng.standard_normal((1, 5)))
 
-    def build_affine():
-        t = Tape()
+    def build_affine(t):
         return _weighted(t, t.affine(t.param(x), t.param(aw), t.param(ab)), w45)
 
     yield "affine", [x, aw, ab], build_affine, False
@@ -165,8 +162,7 @@ def _op_cases():
     emb = Parameter("emb", rng.standard_normal((6, 3)))
     ids = np.array([0, 2, 0, 5])  # repeated row: gradients must accumulate
 
-    def build_gather():
-        t = Tape()
+    def build_gather(t):
         return _weighted(t, t.gather_rows(t.param(emb), ids), w43)
 
     yield "gather_rows", [emb], build_gather, False
@@ -174,8 +170,7 @@ def _op_cases():
     c1 = Parameter("c1", rng.standard_normal((4, 2)))
     c2 = Parameter("c2", rng.standard_normal((4, 3)))
 
-    def build_concat_slice():
-        t = Tape()
+    def build_concat_slice(t):
         joined = t.concat_cols(t.param(c1), t.param(c2))
         return _weighted(t, t.slice_cols(joined, 1, 3), w42)
 
@@ -184,24 +179,21 @@ def _op_cases():
     v = Parameter("v", rng.standard_normal((4, 3)))
     mats = Parameter("mats", rng.standard_normal((4, 9)))
 
-    def build_batch_matvec():
-        t = Tape()
+    def build_batch_matvec(t):
         return _weighted(t, t.batch_matvec(t.param(v), t.param(mats)), w43)
 
     yield "batch_matvec", [v, mats], build_batch_matvec, False
 
     lx = Parameter("lx", rng.standard_normal((4, 3)) + 0.2)
 
-    def build_leaky_relu():
-        t = Tape()
+    def build_leaky_relu(t):
         return _weighted(t, t.leaky_relu(t.param(lx), 0.01), w43)
 
     yield "leaky_relu", [lx], build_leaky_relu, False
 
     mask = (rng.random((4, 3)) >= 0.3) / 0.7
 
-    def build_dropout():
-        t = Tape()
+    def build_dropout(t):
         return _weighted(t, t.dropout(t.param(x), mask), w43)
 
     yield "dropout", [x], build_dropout, False
@@ -210,8 +202,7 @@ def _op_cases():
     be = Parameter("be", 0.1 * rng.standard_normal((1, 3)))
     bn_train = BatchNormState(3)
 
-    def build_bn_train():
-        t = Tape()
+    def build_bn_train(t):
         node = t.batch_norm(t.param(x), t.param(g), t.param(be), bn_train, True)
         return _weighted(t, node, w43)
 
@@ -221,8 +212,7 @@ def _op_cases():
     bn_inf.running_mean = 0.2 * rng.standard_normal((1, 3))
     bn_inf.running_var = 1.0 + 0.3 * rng.random((1, 3))
 
-    def build_bn_inf():
-        t = Tape()
+    def build_bn_inf(t):
         node = t.batch_norm(t.param(x), t.param(g), t.param(be), bn_inf, False)
         return _weighted(t, node, w43)
 
@@ -230,12 +220,10 @@ def _op_cases():
 
     sm = Parameter("sm", rng.standard_normal((4, 6)))
 
-    def build_row_softmax():
-        t = Tape()
+    def build_row_softmax(t):
         return _weighted(t, t.row_softmax(t.param(sm)), w46)
 
-    def build_row_log_softmax():
-        t = Tape()
+    def build_row_log_softmax(t):
         return _weighted(t, t.row_log_softmax(t.param(sm)), w46)
 
     yield "row_softmax", [sm], build_row_softmax, False
@@ -244,8 +232,7 @@ def _op_cases():
     s1 = Parameter("s1", rng.standard_normal((4, 3)))
     s2 = Parameter("s2", rng.standard_normal((4, 3)))
 
-    def build_stack_lse():
-        t = Tape()
+    def build_stack_lse(t):
         return _weighted(t, t.stack_logsumexp([t.param(s1), t.param(s2)]), w43)
 
     yield "stack_logsumexp", [s1, s2], build_stack_lse, False
@@ -253,16 +240,14 @@ def _op_cases():
     raw = rng.random((4, 5)) + 0.1
     pe = Parameter("pe", raw / raw.sum(axis=1, keepdims=True))
 
-    def build_row_entropy():
-        t = Tape()
+    def build_row_entropy(t):
         return _weighted(t, t.row_entropy(t.param(pe)), w41)
 
     yield "row_entropy", [pe], build_row_entropy, False
 
     ws = Parameter("ws", rng.standard_normal((3, 4)))
 
-    def build_weighted_sum():
-        t = Tape()
+    def build_weighted_sum(t):
         return t.weighted_sum(t.param(ws), -0.5)
 
     yield "weighted_sum", [ws], build_weighted_sum, False
@@ -274,12 +259,10 @@ def _op_cases():
     top = int(np.argmax(xh[0].value[0] @ xe.value.T))
     xptr, xcols = np.array([0, 1, 3, 4, 7]), np.array([top, 1, 4, 0, 2, 3, 5])
 
-    def build_softmax_xent():
-        t = Tape()
+    def build_softmax_xent(t):
         return t.mixture_xent([t.param(xh[0])], t.param(xe), xptr, xcols)
 
-    def build_mixture_xent():
-        t = Tape()
+    def build_mixture_xent(t):
         return t.mixture_xent([t.param(h) for h in xh], t.param(xe), xptr, xcols,
                               t.param(xlp))
 
@@ -302,10 +285,10 @@ def _full_loss_case(encoder, output_layer, seed):
     rels = np.array([0, 1, 2, 0, 1])
     ptr, cols = np.arange(6), np.array([1, 3, 5, 0, 3])
 
-    def build():
+    def build(tape):
         drop_rng = np.random.default_rng(seed + 1)
         return batch_loss(model, mos_params, config, subs, rels, ptr, cols,
-                          Tape(), drop_rng)
+                          tape, drop_rng)
 
     params = model.parameters()
     if mos_params is not None:
@@ -331,6 +314,43 @@ def test_criterion_3_gradients_finite_difference():
                 f"{encoder}/{output_layer}: fd error {err:.2e} > {tol}"
             )
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_every_backward_rule_has_a_finite_difference_case():
+    """No op with a backward rule can go without criterion 3's certificate:
+    the cases' tapes record every op that _backward_rule handles."""
+    rule_src = inspect.getsource(autodiff._backward_rule)
+    rule_ops = set(re.findall(r'op == "(\w+)"', rule_src))
+    covered = set()
+    for _, _, build, _ in _op_cases():
+        tape = Tape()
+        build(tape)
+        covered |= {node.op for node in tape.nodes}
+    assert "mixture_xent" in rule_ops and "matmul" in rule_ops
+    assert rule_ops <= covered, f"ops without a case: {sorted(rule_ops - covered)}"
+
+
+@pytest.mark.parametrize("with_mos", [False, True])
+def test_scorer_tape_holds_no_batch_by_entities_node(monkeypatch, with_mos):
+    """Inference records only the encoder and the mixture states; the output
+    head is numpy, so no (batch, n_entities) matrix goes on its tape."""
+    n_ent, batch = 40, 6
+    shapes = []
+
+    class RecordingTape(Tape):
+        def _record(self, op, value, *args, **kwargs):
+            shapes.append(value.shape)
+            return super()._record(op, value, *args, **kwargs)
+
+    monkeypatch.setattr(models, "Tape", RecordingTape)
+    model = init_model("distmult", n_ent, 3, 4, seed=0)
+    mix = init_mos(3, 4, np.random.default_rng(1)) if with_mos else None
+    scorer = Scorer(model, mix)
+    subs, rels = np.arange(batch), np.arange(batch) % 3
+    assert scorer.scores(subs, rels).shape == (batch, n_ent)
+    assert scorer.log_probs(subs, rels).shape == (batch, n_ent)
+    assert scorer.log_probs_from_states(np.ones((batch, 4))).shape == (batch, n_ent)
+    assert shapes and (batch, n_ent) not in shapes
 
 
 def test_criterion_4_logprob_rank_law():
@@ -513,17 +533,13 @@ def test_criterion_7_mixture_separation_on_rank6_target():
     ends at strictly lower training NLL on all 5 seeds."""
     t0 = time.perf_counter()
     store = _separation_store()
-    index = build_query_index(store, ("train",))
-    queries = index.queries()
-    adj = np.zeros((len(queries), 8), dtype=int)
-    for i, (s, r) in enumerate(queries):
-        adj[i, index.get(s, r)] = 1
+    subs, rels, ptr, cols = query_labels(store, ("train",))
+    adj = np.zeros((len(subs), 8), dtype=int)
+    adj[np.repeat(np.arange(len(subs)), np.diff(ptr)), cols] = 1
     check = dr_obstruction_check(adj, dim=2)
     assert check.target_rank == 6 and check.excluded
 
     labels = adj / adj.sum(axis=1, keepdims=True)
-    subs = np.array([q[0] for q in queries])
-    rels = np.array([q[1] for q in queries])
 
     def final_nll(result):
         logp = Scorer(result.model, result.mos).log_probs(subs, rels)

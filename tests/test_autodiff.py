@@ -31,8 +31,7 @@ def test_matmul_grads():
     b = Parameter("b", rng.standard_normal((3, 5)))
     w = rng.standard_normal((4, 5))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, t.matmul(t.param(a), t.param(b)), w)
 
     assert finite_difference_check(build, [a, b]) <= FD_TOL
@@ -44,8 +43,7 @@ def test_matmul_transpose_grads():
     b = Parameter("b", rng.standard_normal((5, 3)))
     w = rng.standard_normal((4, 5))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, t.matmul(t.param(a), t.param(b), transpose_b=True), w)
 
     assert finite_difference_check(build, [a, b]) <= FD_TOL
@@ -59,8 +57,7 @@ def test_elementwise_grads_with_broadcast(op, b_shape):
     b = Parameter("b", rng.standard_normal(b_shape))
     w = rng.standard_normal((4, 3))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, getattr(t, op)(t.param(a), t.param(b)), w)
 
     assert finite_difference_check(build, [a, b]) <= FD_TOL
@@ -73,8 +70,7 @@ def test_affine_grads():
     bias = Parameter("b", rng.standard_normal((1, 3)))
     w = rng.standard_normal((6, 3))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, t.affine(t.param(x), t.param(wgt), t.param(bias)), w)
 
     assert finite_difference_check(build, [x, wgt, bias]) <= FD_TOL
@@ -86,14 +82,13 @@ def test_gather_rows_accumulates_repeats():
     ids = np.array([0, 2, 0, 4, 0])  # repeated rows must sum their adjoints
     w = rng.standard_normal((5, 3))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, t.gather_rows(t.param(e), ids), w)
 
     assert finite_difference_check(build, [e]) <= FD_TOL
     e.zero_grad()
-    loss = build()
-    loss.tape.backward(loss)
+    tape = Tape()
+    tape.backward(build(tape))
     assert np.allclose(e.grad[0], w[0] + w[2] + w[4])
     assert np.allclose(e.grad[1], 0.0)
 
@@ -104,8 +99,7 @@ def test_concat_and_slice_grads():
     b = Parameter("b", rng.standard_normal((3, 4)))
     w = rng.standard_normal((3, 3))
 
-    def build():
-        t = Tape()
+    def build(t):
         cat = t.concat_cols(t.param(a), t.param(b))
         return scalarize(t, t.slice_cols(cat, 1, 4), w)
 
@@ -118,8 +112,7 @@ def test_batch_matvec_grads():
     m = Parameter("m", rng.standard_normal((4, 9)))
     w = rng.standard_normal((4, 3))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, t.batch_matvec(t.param(v), t.param(m)), w)
 
     assert finite_difference_check(build, [v, m]) <= FD_TOL
@@ -140,8 +133,7 @@ def test_leaky_relu_grads():
     x = Parameter("x", vals)
     w = rng.standard_normal((5, 4))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, t.leaky_relu(t.param(x), 0.01), w)
 
     assert finite_difference_check(build, [x]) <= FD_TOL
@@ -152,12 +144,10 @@ def test_softmax_family_grads():
     x = Parameter("x", rng.standard_normal((4, 6)))
     w_full = rng.standard_normal((4, 6))
 
-    def build_softmax():
-        t = Tape()
+    def build_softmax(t):
         return scalarize(t, t.row_softmax(t.param(x)), w_full)
 
-    def build_log_softmax():
-        t = Tape()
+    def build_log_softmax(t):
         return scalarize(t, t.row_log_softmax(t.param(x)), w_full)
 
     assert finite_difference_check(build_softmax, [x]) <= FD_TOL
@@ -169,8 +159,7 @@ def test_stack_logsumexp_grads_and_value():
     xs = [Parameter(f"x{i}", rng.standard_normal((3, 4))) for i in range(3)]
     w = rng.standard_normal((3, 4))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, t.stack_logsumexp([t.param(p) for p in xs]), w)
 
     assert finite_difference_check(build, xs) <= FD_TOL
@@ -186,14 +175,13 @@ def test_dropout_mask_semantics():
     mask = (rng.random((4, 5)) >= 0.4) / 0.6
     w = rng.standard_normal((4, 5))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(t, t.dropout(t.param(x), mask), w)
 
     assert finite_difference_check(build, [x]) <= FD_TOL
     x.zero_grad()
-    loss = build()
-    loss.tape.backward(loss)
+    tape = Tape()
+    tape.backward(build(tape))
     assert np.allclose(x.grad, w * mask)  # zeroed entries get zero gradient
 
 
@@ -205,8 +193,7 @@ def test_batch_norm_training_grads():
     w = rng.standard_normal((6, 3))
     state = BatchNormState(3)
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(
             t,
             t.batch_norm(t.param(x), t.param(gamma), t.param(beta), state, True),
@@ -226,8 +213,7 @@ def test_batch_norm_inference_grads():
     state.running_mean = rng.standard_normal((1, 3)) * 0.2
     state.running_var = 1.0 + 0.3 * rng.random((1, 3))
 
-    def build():
-        t = Tape()
+    def build(t):
         return scalarize(
             t,
             t.batch_norm(t.param(x), t.param(gamma), t.param(beta), state, False),
@@ -284,8 +270,7 @@ def test_row_entropy_values_and_grads():
     x = Parameter("p", raw / raw.sum(axis=1, keepdims=True))
     w = rng.standard_normal((3, 1))
 
-    def build():
-        tape = Tape()
+    def build(tape):
         return scalarize(tape, tape.row_entropy(tape.param(x)), w)
 
     assert finite_difference_check(build, [x]) <= FD_TOL
@@ -295,11 +280,10 @@ def test_weighted_sum_value_and_grad():
     rng = np.random.default_rng(15)
     x = Parameter("x", rng.standard_normal((3, 4)))
 
-    def build():
-        t = Tape()
+    def build(t):
         return t.weighted_sum(t.param(x), -0.5)
 
-    loss = build()
+    loss = build(Tape())
     assert loss.value[0, 0] == pytest.approx(-0.5 * x.value.sum(), rel=1e-12)
     assert finite_difference_check(build, [x]) <= FD_TOL
 
@@ -310,14 +294,13 @@ def test_cross_entropy_closed_form_gradient():
     y = np.zeros((5, 7))
     y[np.arange(5), [0, 3, 6, 2, 2]] = 1.0
 
-    def build():
-        t = Tape()
+    def build(t):
         logp = t.row_log_softmax(t.param(z))
         return t.weighted_sum(t.hadamard(t.constant(y), logp), -1.0 / 5)
 
     z.zero_grad()
-    loss = build()
-    loss.tape.backward(loss)
+    tape = Tape()
+    tape.backward(build(tape))
     sm = np.exp(z.value - z.value.max(axis=1, keepdims=True))
     sm /= sm.sum(axis=1, keepdims=True)
     assert np.abs(z.grad - (sm - y) / 5).max() <= 1e-10
@@ -337,8 +320,7 @@ def test_shared_and_aliased_adjoints_grads():
     w_sum = rng.standard_normal((4, 3))
     w_cat = rng.standard_normal((4, 4))
 
-    def build():
-        t = Tape()
+    def build(t):
         other = t.leaky_relu(t.param(z), 0.3)
         xn = t.leaky_relu(t.param(x), 0.3)
         yn = t.leaky_relu(t.param(y), 0.3)
@@ -353,8 +335,8 @@ def test_shared_and_aliased_adjoints_grads():
     assert finite_difference_check(build, params) <= FD_TOL
     for p in params:
         p.zero_grad()
-    loss = build()
-    loss.tape.backward(loss)
+    tape = Tape()
+    tape.backward(build(tape))
     slope = {p.name: np.where(p.value > 0, 1.0, 0.3) for p in params}
     g_cat = np.hstack([np.zeros((4, 1)), w_cat])
     want_x = slope["x"] * (w_early + 2.0 * w_sum + g_cat[:, :3])
@@ -407,6 +389,9 @@ def test_backward_validation():
     loss = other.weighted_sum(other.constant(np.ones((1, 1))))
     with pytest.raises(ValueError, match="different tape"):
         t.backward(loss)
+    t.weighted_sum(x)  # now t has a node at loss.idx, but not loss itself
+    with pytest.raises(ValueError, match="different tape"):
+        t.backward(loss)
 
 
 def test_shape_validation_errors():
@@ -449,6 +434,24 @@ def test_tape_context_drops_its_nodes_on_exit():
         ref = weakref.ref(tape)
         del tape, node
         assert ref() is None  # no cycle is left for the collector
+    finally:
+        gc.enable()
+
+
+def test_tape_outside_a_with_block_dies_by_reference_counting():
+    """Nodes hold no pointer back to their tape, so a tape used without the
+    context manager is freed as soon as its last name goes, even while its
+    loss node is still held and with the cyclic collector off."""
+    x = Parameter("x", np.ones((2, 2)))
+    gc.disable()
+    try:
+        tape = Tape()
+        loss = tape.weighted_sum(tape.row_softmax(tape.param(x)))
+        tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+        assert loss.value.shape == (1, 1)
     finally:
         gc.enable()
 
@@ -507,8 +510,9 @@ def fused(t, hs, e, lp, ptr, cols):
 def grads_of(build, params):
     for p in params:
         p.zero_grad()
-    loss = build()
-    loss.tape.backward(loss)
+    tape = Tape()
+    loss = build(tape)
+    tape.backward(loss)
     return float(loss.value[0, 0]), [p.grad.copy() for p in params]
 
 
@@ -516,8 +520,8 @@ def grads_of(build, params):
 def test_mixture_xent_grads(k):
     hs, e, lp, ptr, cols, params = xent_case(19, k)
 
-    def build():
-        return fused(Tape(), hs, e, lp, ptr, cols)
+    def build(t):
+        return fused(t, hs, e, lp, ptr, cols)
 
     assert finite_difference_check(build, params) <= FD_TOL
 
@@ -527,12 +531,11 @@ def test_mixture_xent_matches_unfused_composition(k):
     hs, e, lp, ptr, cols, params = xent_case(20, k, n=6, n_ent=9, d=4)
     y = dense_labels(ptr, cols, 9)
 
-    def build_ref():
-        t = Tape()
+    def build_ref(t):
         log_pi = None if lp is None else t.param(lp)
         return unfused_xent(t, [t.param(h) for h in hs], t.param(e), y, log_pi)
 
-    got_loss, got = grads_of(lambda: fused(Tape(), hs, e, lp, ptr, cols), params)
+    got_loss, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
     want_loss, want = grads_of(build_ref, params)
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
     for p, g, w in zip(params, got, want):
@@ -550,12 +553,11 @@ def test_mixture_xent_is_finite_at_extreme_logits(k):
     assert np.abs(z).max() >= 700.0
     y = dense_labels(ptr, cols, e.value.shape[0])
 
-    def build_ref():
-        t = Tape()
+    def build_ref(t):
         log_pi = None if lp is None else t.param(lp)
         return unfused_xent(t, [t.param(h) for h in hs], t.param(e), y, log_pi)
 
-    got_loss, got = grads_of(lambda: fused(Tape(), hs, e, lp, ptr, cols), params)
+    got_loss, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
     want_loss, _ = grads_of(build_ref, params)
     assert np.isfinite(got_loss) and all(np.isfinite(g).all() for g in got)
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
@@ -564,8 +566,8 @@ def test_mixture_xent_is_finite_at_extreme_logits(k):
 def test_mixture_xent_zero_prior_equals_softmax_bitwise():
     hs, e, _, ptr, cols, params = xent_case(22, 1)
     zero = Parameter("zero", np.zeros((hs[0].value.shape[0], 1)))
-    soft_loss, soft = grads_of(lambda: fused(Tape(), hs, e, None, ptr, cols), params)
-    mix_loss, mix = grads_of(lambda: fused(Tape(), hs, e, zero, ptr, cols), params)
+    soft_loss, soft = grads_of(lambda t: fused(t, hs, e, None, ptr, cols), params)
+    mix_loss, mix = grads_of(lambda t: fused(t, hs, e, zero, ptr, cols), params)
     assert soft_loss == mix_loss
     for g, w in zip(soft, mix):
         assert np.array_equal(g, w)

@@ -267,6 +267,87 @@ def test_analyze_decompose_dataset(toy_dir):
     assert out["merged_blocks"] is False
 
 
+# Eight entities, two relations, a test triple repeated from valid, and an
+# even number of query pairs without inverses (median 2.5).
+DEGREE_GRAPH = dict(
+    train=[
+        (6, 0, 1), (1, 0, 6), (6, 1, 0), (0, 0, 3), (4, 0, 2), (1, 1, 5),
+        (3, 1, 4), (3, 0, 5), (4, 0, 5), (6, 1, 6), (2, 0, 5), (5, 1, 6),
+        (2, 1, 0), (0, 1, 7), (2, 0, 2), (0, 1, 5), (4, 0, 3), (1, 1, 3),
+        (0, 0, 5), (4, 1, 7), (1, 0, 3), (5, 0, 5), (5, 0, 3), (6, 1, 5),
+        (0, 1, 1), (6, 1, 3), (7, 1, 2), (7, 0, 0), (4, 1, 5), (3, 1, 3),
+    ],
+    valid=[
+        (3, 0, 1), (5, 1, 2), (5, 1, 1), (2, 1, 4), (4, 1, 1), (6, 0, 0),
+        (5, 0, 6),
+    ],
+    test=[
+        (2, 1, 7), (7, 0, 1), (2, 1, 4), (1, 1, 7), (7, 1, 7), (4, 1, 7),
+        (4, 1, 2), (6, 1, 0),
+    ],
+)
+
+DEGREE_GRAPH_STATS = (
+    '{\n'
+    '  "entities": 8,\n'
+    '  "relations": 2,\n'
+    '  "triples": {\n'
+    '    "test": 8,\n'
+    '    "total_raw": 45,\n'
+    '    "train": 30,\n'
+    '    "unique": 42,\n'
+    '    "valid": 7\n'
+    '  },\n'
+    '  "with_inverses": {\n'
+    '    "out_degree_max": 5,\n'
+    '    "out_degree_mean": 2.8,\n'
+    '    "out_degree_median": 3.0,\n'
+    '    "query_pairs": 30,\n'
+    '    "relations": 4,\n'
+    '    "sufficient_dim": 11,\n'
+    '    "unique_triples": 84\n'
+    '  },\n'
+    '  "without_inverses": {\n'
+    '    "out_degree_max": 4,\n'
+    '    "out_degree_mean": 2.625,\n'
+    '    "out_degree_median": 2.5,\n'
+    '    "query_pairs": 16,\n'
+    '    "relations": 2,\n'
+    '    "sufficient_dim": 9,\n'
+    '    "unique_triples": 42\n'
+    '  }\n'
+    '}\n'
+)
+
+DEGREE_GRAPH_DECOMPOSE = (
+    '{\n'
+    '  "cols": 8,\n'
+    '  "degree_cap": 4,\n'
+    '  "epsilon": "1/2",\n'
+    '  "merged_blocks": true,\n'
+    '  "min_margin": 0.5625,\n'
+    '  "mismatches": 0,\n'
+    '  "rational_checked": true,\n'
+    '  "rows": 16,\n'
+    '  "verified": true,\n'
+    '  "width": 9\n'
+    '}\n'
+)
+
+
+def test_stats_and_decompose_output_is_pinned(write_dataset):
+    """The degree statistics and the dataset adjacency come from CSR query
+    rows; the JSON must stay byte for byte what the per-query dict built."""
+    named = {
+        split: [(f"n{s}", f"r{r}", f"n{o}") for s, r, o in triples]
+        for split, triples in DEGREE_GRAPH.items()
+    }
+    path = write_dataset(**named, name="degrees")
+    assert run_cli(["stats", "--dataset", path]) == (0, DEGREE_GRAPH_STATS)
+    assert run_cli(["analyze", "decompose", "--dataset", path]) == (
+        0, DEGREE_GRAPH_DECOMPOSE)
+
+
 def test_analyze_decompose_needs_input():
     rc, _ = run_cli(["analyze", "decompose", "--rows", "5"])
     assert rc == 1

@@ -12,10 +12,9 @@ from kgmix.models import (
     init_model,
     load_checkpoint,
     save_checkpoint,
-    score_all,
     state_arrays,
 )
-from kgmix.mos import init_mos
+from kgmix.mos import init_mos, mixture_states
 
 
 def _states(model, subjects, relations, **kw):
@@ -29,8 +28,7 @@ def test_distmult_hand_computed():
     m.relations.value[...] = [[2.0, 0.5], [-1.0, 1.0]]
     h = _states(m, [0, 1], [0, 1])
     assert np.allclose(h, [[2.0, 1.0], [-3.0, -1.0]])
-    tape = Tape()
-    z = score_all(m, encode(m, [0], [0], tape), tape).value
+    z = Scorer(m).scores([0], [0])
     # [2, 1] against each entity row
     assert np.allclose(z, [[2 * 1 + 1 * 2, 2 * 3 + 1 * -1, 2 * 0.5]])
 
@@ -158,6 +156,34 @@ def test_scorer_mos_scores_are_log_probs():
     b = s.log_probs([0, 1], [0, 1])
     assert np.array_equal(a, b)
     assert np.abs(np.exp(a).sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_scorer_softmax_is_bitwise_the_tape_composition(encoder):
+    """Plain-layer scores and log_probs equal, bit for bit, the tape's
+    matmul and row_log_softmax on the encoder's states."""
+    m = init_model(encoder, 9, 3, 4, seed=6)
+    subs, rels = np.array([0, 3, 5, 8, 2]), np.array([0, 1, 2, 1, 0])
+    t = Tape()
+    z = t.matmul(encode(m, subs, rels, t), t.param(m.entities), transpose_b=True)
+    s = Scorer(m)
+    assert np.array_equal(s.scores(subs, rels), z.value)
+    assert np.array_equal(s.log_probs(subs, rels), t.row_log_softmax(z).value)
+
+
+def test_scorer_mos_matches_the_tape_composition():
+    m = init_model("mlp", 9, 3, 4, seed=7)
+    mix = init_mos(3, 4, np.random.default_rng(7))
+    subs, rels = np.array([0, 3, 5, 8, 2]), np.array([0, 1, 2, 1, 0])
+    t = Tape()
+    log_pi, states = mixture_states(mix, encode(m, subs, rels, t), t)
+    e = t.param(m.entities)
+    want = t.stack_logsumexp([
+        t.add(t.row_log_softmax(t.matmul(h, e, transpose_b=True)),
+              t.slice_cols(log_pi, k, k + 1))
+        for k, h in enumerate(states)
+    ]).value
+    assert np.abs(Scorer(m, mix).log_probs(subs, rels) - want).max() <= 1e-12
 
 
 def test_log_probs_from_states_matches_encoder_path():

@@ -1,16 +1,56 @@
 """Mixture output layer: prior arithmetic, exact K=1 collapse to a single
-softmax, normalization, and the log-probability rank ceiling it breaks."""
+softmax, normalization, the numpy inference head against log-space
+references (extreme logits included), and the log-probability rank
+ceiling it breaks."""
 import numpy as np
 import pytest
 
 from kgmix.autodiff import Tape
 from kgmix.linalg import numerical_rank
 from kgmix.mos import (
+    head_log_probs,
     init_mos,
-    mixture_log_prob,
+    mixture_states,
     priors,
     project,
 )
+
+HEAD_TOL = 1e-12
+
+
+def mixture_head(mix, h, e, **kw):
+    """Inference log-probabilities: mixture_states on a tape, the numpy head
+    on their values."""
+    t = Tape()
+    log_pi, states = mixture_states(mix, t.constant(h), t, **kw)
+    return head_log_probs([s.value for s in states], e, log_pi.value)
+
+
+def tape_composition(states, e, log_pi):
+    """The reference: per-component log-softmax plus its log-prior column,
+    blended by stack_logsumexp, all recorded on a tape."""
+    t = Tape()
+    ent, lp = t.constant(e), t.constant(log_pi)
+    return t.stack_logsumexp([
+        t.add(t.row_log_softmax(t.matmul(t.constant(h), ent, transpose_b=True)),
+              t.slice_cols(lp, k, k + 1))
+        for k, h in enumerate(states)
+    ]).value
+
+
+def logaddexp_reference(states, e, log_pi):
+    """The same mixture from numpy's logaddexp, with no tape."""
+    out = -np.inf
+    for k, h in enumerate(states):
+        z = h @ e.T
+        out = np.logaddexp(out, z - np.logaddexp.reduce(z, axis=1, keepdims=True)
+                           + log_pi[:, k : k + 1])
+    return out
+
+
+def random_log_priors(rng, n, k):
+    a = rng.standard_normal((n, k))
+    return a - np.logaddexp.reduce(a, axis=1, keepdims=True)
 
 
 def test_priors_worked_example():
@@ -45,8 +85,7 @@ def test_k1_mixture_is_exactly_one_softmax(rng):
     mix = init_mos(1, d, np.random.default_rng(3))
     h = rng.standard_normal((5, d))
     e = rng.standard_normal((n, d))
-    t = Tape()
-    got = mixture_log_prob(mix, t.constant(h), t.constant(e), t).value
+    got = mixture_head(mix, h, e)
     t2 = Tape()
     hk = project(mix, mix.components[0], t2.constant(h), t2)
     want = t2.row_log_softmax(t2.matmul(hk, t2.constant(e), transpose_b=True)).value
@@ -62,8 +101,7 @@ def test_identical_components_collapse(rng):
             p_dst.value[...] = p_src.value
     h = rng.standard_normal((4, d))
     e = rng.standard_normal((n, d))
-    t = Tape()
-    got = mixture_log_prob(mix, t.constant(h), t.constant(e), t).value
+    got = mixture_head(mix, h, e)
     t2 = Tape()
     hk = project(mix, first, t2.constant(h), t2)
     want = t2.row_log_softmax(t2.matmul(hk, t2.constant(e), transpose_b=True)).value
@@ -75,24 +113,58 @@ def test_identical_components_collapse(rng):
 def test_mixture_rows_normalize(rng, k):
     d, n = 3, 9
     mix = init_mos(k, d, np.random.default_rng(5))
-    t = Tape()
-    lp = mixture_log_prob(
-        mix, t.constant(rng.standard_normal((6, d))),
-        t.constant(rng.standard_normal((n, d))), t,
-    ).value
+    lp = mixture_head(mix, rng.standard_normal((6, d)), rng.standard_normal((n, d)))
     assert np.abs(np.exp(lp).sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_mixture_normalizes_under_training_dropout(rng):
     d, n = 3, 8
     mix = init_mos(3, d, np.random.default_rng(6))
-    t = Tape()
-    lp = mixture_log_prob(
-        mix, t.constant(rng.standard_normal((6, d))),
-        t.constant(rng.standard_normal((n, d))), t,
+    lp = mixture_head(
+        mix, rng.standard_normal((6, d)), rng.standard_normal((n, d)),
         training=True, dropout=0.4, rng=np.random.default_rng(7),
-    ).value
+    )
     assert np.abs(np.exp(lp).sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_head_matches_log_space_references(k):
+    rng = np.random.default_rng(30 + k)
+    n, n_ent, d = 7, 11, 4
+    for scale in (0.3, 3.0, 30.0):
+        states = [scale * rng.standard_normal((n, d)) for _ in range(k)]
+        e = rng.standard_normal((n_ent, d))
+        log_pi = random_log_priors(rng, n, k)
+        got = head_log_probs(states, e, log_pi)
+        assert np.abs(got - tape_composition(states, e, log_pi)).max() <= HEAD_TOL
+        assert np.abs(got - logaddexp_reference(states, e, log_pi)).max() <= HEAD_TOL
+        assert np.abs(np.exp(got).sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_head_is_finite_and_exact_at_extreme_logits():
+    """Scores of +-700.  Row 0's last entity has probability e^-1400 under
+    both components, which is 0 in probability space; row 3's third has
+    e^-720, a subnormal float with too few digits.  Both rows come from the
+    log-space fallback.  Rows 1 and 2 mix components that disagree by 1400
+    and stay in probability space."""
+    e = 350.0 * np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    states = [np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, -1.0]]),
+              np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [1.0, 1.0]])]
+    tail = np.exp(-20.0)
+    log_pi = np.log([[0.5, 0.5], [0.3, 0.7], [0.9, 0.1], [1.0 - tail, tail]])
+    got = head_log_probs(states, e, log_pi)
+    want = tape_composition(states, e, log_pi)
+    assert np.abs(np.array(states) @ e.T).max() == 700.0
+    assert np.exp(want[0]).min() == 0.0 and want[0].min() < -1399.0
+    assert 0.0 < np.exp(want[3]).min() < np.finfo(np.float64).tiny
+    assert np.isfinite(got).all()
+    assert np.abs(got - want).max() <= HEAD_TOL
+    assert np.abs(got - logaddexp_reference(states, e, log_pi)).max() <= HEAD_TOL
+
+
+def test_head_needs_log_priors_for_a_mixture():
+    with pytest.raises(ValueError, match="log_pi"):
+        head_log_probs([np.ones((3, 2))] * 2, np.ones((4, 2)))
 
 
 def test_project_training_dropout_needs_rng(rng):
@@ -112,8 +184,7 @@ def test_single_softmax_rank_ceiling():
         h = rng.standard_normal((b, d))
         e = rng.standard_normal((n, d))
         mix = init_mos(1, d, np.random.default_rng(seed + 300))
-        t = Tape()
-        lp = mixture_log_prob(mix, t.constant(h), t.constant(e), t).value
+        lp = mixture_head(mix, h, e)
         assert numerical_rank(lp) <= d + 1
 
 
@@ -126,8 +197,7 @@ def test_mixture_escapes_rank_ceiling():
         h = rng.standard_normal((b, d))
         e = rng.standard_normal((n, d))
         mix = init_mos(4, d, np.random.default_rng(seed + 100))
-        t = Tape()
-        lp = mixture_log_prob(mix, t.constant(h), t.constant(e), t).value
+        lp = mixture_head(mix, h, e)
         assert numerical_rank(lp) == min(b, n) > d + 1
 
 

@@ -12,7 +12,7 @@ import sympy
 
 from kgmix import theory
 from kgmix.linalg import numerical_rank
-from kgmix.mos import init_mos, mixture_log_prob
+from kgmix.mos import head_log_probs, init_mos, mixture_states
 from kgmix.autodiff import Tape
 from kgmix.theory import (
     MAX_RANKING_DIM,
@@ -493,6 +493,12 @@ def _plain_logp(rng, b, n, d):
                       keepdims=True)) - z.max(axis=1, keepdims=True), h, e
 
 
+def _mixture_logp(mix, h, e):
+    t = Tape()
+    log_pi, states = mixture_states(mix, t.constant(h), t)
+    return head_log_probs([s.value for s in states], e, log_pi.value)
+
+
 def test_logprob_rank_probe_single_softmax_stays_within_capacity():
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -508,8 +514,7 @@ def test_logprob_rank_probe_mixture_exceeds_capacity():
     h = rng.standard_normal((b, d))
     e = rng.standard_normal((n, d))
     mix = init_mos(4, d, np.random.default_rng(100))
-    t = Tape()
-    lp = mixture_log_prob(mix, t.constant(h), t.constant(e), t).value
+    lp = _mixture_logp(mix, h, e)
     probe = logprob_rank_probe(lp, dim=d)
     assert probe.rank > probe.capacity
     assert not probe.within_single_softmax
@@ -557,8 +562,7 @@ def test_alr_mixture_exceeds_rank_d():
     h = rng.standard_normal((b, d))
     e = rng.standard_normal((n, d))
     mix = init_mos(4, d, np.random.default_rng(103))
-    t = Tape()
-    lp = mixture_log_prob(mix, t.constant(h), t.constant(e), t).value
+    lp = _mixture_logp(mix, h, e)
     assert numerical_rank(alr_transform(np.exp(lp))) > d
 
 

@@ -9,7 +9,7 @@ import pytest
 from kgmix import models
 from kgmix import train as train_mod
 from kgmix.autodiff import Parameter, Tape
-from kgmix.graph import TripleStore, build_query_index
+from kgmix.graph import TripleStore, build_query_index, query_labels
 from kgmix.models import Scorer, encode, init_model, state_arrays
 from kgmix.mos import init_mos, priors
 from kgmix.train import (
@@ -18,19 +18,21 @@ from kgmix.train import (
     TrainingDiverged,
     batch_loss,
     entropy_reg,
-    query_labels,
     train_loop,
 )
 
 
 def test_query_labels_follow_query_index(toy_store):
-    subs, rels, ptr, cols = query_labels(toy_store)
-    index = build_query_index(toy_store, ("train",))
-    assert list(zip(subs.tolist(), rels.tolist())) == index.queries()
-    assert len(ptr) == index.n_queries + 1 and ptr[-1] == index.n_triples
-    for i, (s, r) in enumerate(index.queries()):
-        assert cols[ptr[i] : ptr[i + 1]].tolist() == index.get(s, r)
-    i = index.queries().index((0, 0))
+    toy_store.test.append(toy_store.train[0])  # a duplicate across splits
+    for splits in [(), ("train",), ("train", "valid", "test")]:
+        subs, rels, ptr, cols = query_labels(toy_store, splits)
+        index = build_query_index(toy_store, splits)
+        assert list(zip(subs.tolist(), rels.tolist())) == index.queries()
+        assert len(ptr) == index.n_queries + 1 and ptr[-1] == index.n_triples
+        for i, (s, r) in enumerate(index.queries()):
+            assert cols[ptr[i] : ptr[i + 1]].tolist() == index.get(s, r)
+    subs, rels, ptr, cols = query_labels(toy_store, ("train",))
+    i = list(zip(subs.tolist(), rels.tolist())).index((0, 0))
     assert cols[ptr[i] : ptr[i + 1]].tolist() == [1, 2]  # (0, r0) -> {1, 2}
 
 
