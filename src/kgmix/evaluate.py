@@ -115,8 +115,10 @@ def filtered_nll(
     """Mean negative log-probability of true objects after renormalizing
     each row over the entities not already known true in filter_splits.
 
-    A query whose true object is itself excluded by the filter is skipped
-    and counted, not scored.
+    logp_fn may return log-probabilities plus any per-row constant (raw
+    scores, say): the renormalization cancels it, up to rounding.  A query
+    whose true object is itself excluded by the filter is skipped and
+    counted, not scored.
     """
     nll, skipped = _filtered_pass(logp_fn, store, split, filter_splits, batch_size)
     rows = zip(store.split(split), nll.tolist(), skipped.tolist())
@@ -155,12 +157,17 @@ def evaluate_model(
     nll_filter_splits=("train",),
     batch_size: int = 512,
 ) -> dict:
-    """Ranking metrics plus filtered NLL for one scorer, as one dict."""
+    """Ranking metrics plus filtered NLL for one scorer, as one dict.
+
+    Both passes read scorer.scores: filtered_nll renormalizes each row, so
+    the scores, which are log-probabilities plus a per-row constant, give
+    the NLL of scorer.log_probs up to rounding in the last digits.
+    """
     ranks = ranking_metrics(
         scorer.scores, store, split, rank_mode, candidates, batch_size=batch_size
     )
     nll = filtered_nll(
-        scorer.log_probs, store, split, nll_filter_splits, batch_size=batch_size
+        scorer.scores, store, split, nll_filter_splits, batch_size=batch_size
     )
     return summarize(ranks, nll)
 

@@ -6,7 +6,10 @@ Three families of checks live here, all certificate-producing:
   written as sign(X @ V^T) where V is the 2c+1-column integer Vandermonde
   grid v[t, j] = t^j and row i of X holds the coefficients of a polynomial
   that is positive exactly on i's neighbor columns.  This realizes every
-  sign pattern of the adjacency in dimension 2c+1.
+  sign pattern of the adjacency in dimension 2c+1.  The check evaluates
+  the factored polynomials over the whole grid in one vectorized float
+  pass, and small grids also evaluate the dense coefficient form in exact
+  integer arithmetic.
 
 * Feasible sign/ranking enumeration: which of the 2^N sign patterns (or N!
   score orderings) over N fixed embedding rows are realized by some query
@@ -31,7 +34,8 @@ import numpy as np
 
 from . import linalg
 
-# exact rational cross-checks get slow past this many cells
+# cells past which verify_sign_decomposition skips the exact cross-check by
+# default: its integer Horner loop is Python, one cell at a time
 RATIONAL_CHECK_CELL_CAP = 256
 
 MAX_SIGN_ROWS = 16  # up to 2^N chambers, each with a stored witness
@@ -68,18 +72,60 @@ class RowSignPoly:
             out *= Fraction(t) - r
         return out
 
-    def coefficients(self, width: int) -> list[Fraction]:
-        """Dense coefficient list (low degree first), zero-padded."""
-        coeffs = [Fraction(self.sigma)]
-        for r in self.roots:
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
+    def integer_coefficients(self, width: int) -> tuple[list[int], int]:
+        """Integer coefficients c (low degree first, zero-padded to width)
+        and a positive scale with scale * p(t) = sum_k c[k] t^k.
+
+        With q the lcm of the root denominators, the scale is
+        den(sigma) * q^D and the coefficients are those of
+        num(sigma) * prod_j (q t - q r_j), all integers.
+        """
+        roots = [Fraction(r) for r in self.roots]
+        q = math.lcm(*(r.denominator for r in roots))
+        sigma = Fraction(self.sigma)
+        coeffs = [sigma.numerator]
+        for r in roots:
+            qr = r.numerator * (q // r.denominator)
+            nxt = [0] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
-                nxt[i + 1] += c
-                nxt[i] -= c * r
+                nxt[i + 1] += c * q
+                nxt[i] -= c * qr
             coeffs = nxt
         if len(coeffs) > width:
             raise ValueError("polynomial degree exceeds the requested width")
-        return coeffs + [Fraction(0)] * (width - len(coeffs))
+        return coeffs + [0] * (width - len(coeffs)), sigma.denominator * q ** len(roots)
+
+    def coefficients(self, width: int) -> list[Fraction]:
+        """Dense coefficient list (low degree first), zero-padded."""
+        coeffs, scale = self.integer_coefficients(width)
+        return [Fraction(c, scale) for c in coeffs]
+
+
+def _grid_values(rows: list[RowSignPoly], n_cols: int) -> np.ndarray:
+    """(len(rows), n_cols) values sigma * prod_j (t - float(r_j)) at
+    t = 1..n_cols, multiplied in RowSignPoly.eval_float's order, so every
+    value is bitwise eval_float's.
+
+    Rows are sorted by degree, so the rows that still have a j-th root are
+    a prefix and each root multiplies one slice in place.
+    """
+    degree = np.array([len(r.roots) for r in rows], dtype=np.int64)
+    order = np.argsort(-degree, kind="stable")
+    roots = np.zeros((len(rows), int(degree.max(initial=0))))
+    for k, i in enumerate(order.tolist()):
+        roots[k, : degree[i]] = [float(r) for r in rows[i].roots]
+    t = np.arange(1, n_cols + 1, dtype=np.float64)
+    vals = np.empty((len(rows), n_cols))
+    vals[:] = np.array([float(rows[i].sigma) for i in order.tolist()])[:, None]
+    factor = np.empty_like(vals)
+    live = np.sum(degree[:, None] > np.arange(roots.shape[1]), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, k in enumerate(live.tolist()):
+            np.subtract(t, roots[:k, j, None], out=factor[:k])
+            vals[:k] *= factor[:k]
+    out = np.empty_like(vals)
+    out[order] = vals
+    return out
 
 
 @dataclass
@@ -109,13 +155,9 @@ class SignDecomposition:
         return [row.coefficients(self.width) for row in self.rows]
 
     def sign_matrix(self) -> np.ndarray:
-        """Signs at the integer grid via factored evaluation (exact signs)."""
-        out = np.empty((self.n_rows, self.n_cols), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for t in range(1, self.n_cols + 1):
-                v = row.eval_float(t)
-                out[i, t - 1] = 1 if v > 0 else -1
-        return out
+        """Signs at the integer grid via factored evaluation (exact signs);
+        a zero or NaN value counts as -1."""
+        return np.where(_grid_values(self.rows, self.n_cols) > 0, 1, -1)
 
 
 def sign_decompose(adj, epsilon=Fraction(1, 2), merge_blocks: bool = True) -> SignDecomposition:
@@ -176,37 +218,33 @@ def verify_sign_decomposition(adj, dec: SignDecomposition, rational=None) -> Sig
     """Check sign(p_i(t)) against 2*adj - 1 on the whole grid.
 
     Factored float evaluation decides the signs (no coefficient-form
-    cancellation); when rational is True, or None with a small enough grid,
-    the dense exact coefficients are also evaluated with Fractions and must
-    agree cell by cell.
+    cancellation), in one vectorized pass over the grid; a zero or NaN value
+    is a mismatch, and NaN stays out of min_margin.  When rational is True,
+    or None with a small enough grid, the dense coefficient form is also
+    evaluated exactly: Horner's rule on each row's integer coefficients
+    (RowSignPoly.integer_coefficients), whose positive scale leaves the
+    sign unchanged, must agree cell by cell.
     """
     a = _validate_binary(adj)
-    if a.shape != (dec.n_rows, dec.n_cols):
+    if a.shape != (dec.n_rows, dec.n_cols) or len(dec.rows) != dec.n_rows:
         raise ValueError("decomposition shape does not match the adjacency")
     target = 2 * a - 1
-    mismatches = []
-    min_margin = math.inf
-    for i, row in enumerate(dec.rows):
-        for t in range(1, dec.n_cols + 1):
-            v = row.eval_float(t)
-            min_margin = min(min_margin, abs(v))
-            s = 1 if v > 0 else (-1 if v < 0 else 0)
-            if s != target[i, t - 1]:
-                mismatches.append((i, t - 1))
+    vals = _grid_values(dec.rows, dec.n_cols)
+    bad = ~np.where(target > 0, vals > 0, vals < 0)
+    mismatches = list(map(tuple, np.argwhere(bad).tolist()))
+    margins = np.abs(vals[~np.isnan(vals)])
+    min_margin = float(margins.min()) if margins.size else math.inf
     if rational is None:
         rational = a.size <= RATIONAL_CHECK_CELL_CAP
     if rational:
-        coeffs = dec.coefficient_matrix_exact()
-        for i, row_coeffs in enumerate(coeffs):
-            for t in range(1, dec.n_cols + 1):
-                tf = Fraction(t)
-                acc = Fraction(0)
-                power = Fraction(1)
-                for cf in row_coeffs:
-                    acc += cf * power
-                    power *= tf
-                s = 1 if acc > 0 else (-1 if acc < 0 else 0)
-                if s != target[i, t - 1]:
+        for i, row in enumerate(dec.rows):
+            coeffs, _ = row.integer_coefficients(dec.width)
+            coeffs.reverse()
+            for t, want in enumerate(target[i].tolist(), start=1):
+                acc = 0
+                for c in coeffs:
+                    acc = acc * t + c
+                if (acc > 0) - (acc < 0) != want:
                     mismatches.append((i, t - 1))
     return SignVerification(
         ok=not mismatches,

@@ -83,12 +83,12 @@ def test_criterion_1_dataset_degree_stats():
 def test_criterion_2_sign_decomposition_property():
     """200 random adjacencies (rows/cols up to 48, row sums up to 8) are
     decomposed in exactly 2c+1 columns and verified with zero mismatches;
-    small instances additionally get the exact rational cross-check."""
+    small instances additionally get the exact integer cross-check."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     rational_checked = 0
     for i in range(200):
-        if i % 2 == 0:  # keep half the instances inside the rational cap
+        if i % 2 == 0:  # keep half the instances inside the exact-check cap
             n, m = int(rng.integers(1, 17)), int(rng.integers(1, 17))
         else:
             n, m = int(rng.integers(1, 49)), int(rng.integers(1, 49))

@@ -254,6 +254,23 @@ def test_analyze_decompose_random():
     assert out["epsilon"] == "1/2"
 
 
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    """python -m kgmix, with src on PYTHONPATH and no install step."""
+    import os
+    from pathlib import Path
+
+    import kgmix
+
+    src = str(Path(kgmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgmix", "analyze", "bound", "--n", "8", "--dim", "3"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"dim": 3, "feasible_sign_bound": 58, "n": 8}
+
+
 def test_analyze_decompose_dataset(toy_dir):
     out = run_json([
         "analyze", "decompose", "--dataset", toy_dir, "--epsilon", "1/3",

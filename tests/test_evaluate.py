@@ -282,12 +282,40 @@ def test_evaluate_model_combines_reports(toy_store):
     out = evaluate_model(scorer, toy_store, "test",
                          nll_filter_splits=("train",))
     ranks = ranking_metrics(scorer.scores, toy_store, "test")
-    nll = filtered_nll(scorer.log_probs, toy_store, "test", ("train",))
+    nll = filtered_nll(scorer.scores, toy_store, "test", ("train",))
     assert out["mrr"] == ranks.mrr
     assert out["mean_filtered_nll"] == nll.mean_nll
     assert out["nll_filter"] == ["train"]
     assert out["hits"]["hits@10"] == ranks.hits[10]
     assert out["nll_skipped"] == nll.n_skipped
+
+
+@pytest.mark.parametrize(
+    "encoder,k", [("distmult", 1), ("rescal", 1), ("mlp", 1), ("distmult", 3)]
+)
+def test_evaluate_model_nll_from_scores_matches_log_probs(toy_store, monkeypatch, encoder, k):
+    """evaluate_model feeds scorer.scores to filtered_nll; the per-row
+    shift from log-probabilities cancels, up to rounding, and the
+    log-probability pass is not run."""
+    from kgmix.models import Scorer, init_model
+    from kgmix.mos import init_mos
+
+    rng = np.random.default_rng(4)
+    model = init_model(encoder, 6, 2, 4, rng=rng)
+    scorer = Scorer(model, init_mos(k, 4, rng) if k > 1 else None)
+    want = filtered_nll(scorer.log_probs, toy_store, "valid", ("train",)).mean_nll
+
+    calls = []
+    log_probs = Scorer.log_probs
+
+    def counting(self, subjects, relations):
+        calls.append(len(subjects))
+        return log_probs(self, subjects, relations)
+
+    monkeypatch.setattr(Scorer, "log_probs", counting)
+    out = evaluate_model(scorer, toy_store, "valid", nll_filter_splits=("train",))
+    assert calls == []
+    assert out["mean_filtered_nll"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ---- the batch kernel against the per-triple loop it replaced ----

@@ -144,6 +144,185 @@ def test_verify_detects_tampering():
     assert not ver.ok and ver.mismatches
 
 
+# ---- the vectorized float pass and the integer check against scalar loops ----
+
+
+def _loop_coefficients(poly, width):
+    """Dense Fraction coefficients, one root at a time (low degree first)."""
+    coeffs = [Fraction(poly.sigma)]
+    for r in poly.roots:
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c
+            nxt[i] -= c * r
+        coeffs = nxt
+    if len(coeffs) > width:
+        raise ValueError("polynomial degree exceeds the requested width")
+    return coeffs + [Fraction(0)] * (width - len(coeffs))
+
+
+def _loop_verify(adj, dec, rational):
+    """The per-cell reference: eval_float at every cell, then the dense
+    Fraction coefficients evaluated at every cell.  Returns (ok, min_margin,
+    mismatches)."""
+    target = 2 * np.asarray(adj) - 1
+    mismatches = []
+    min_margin = math.inf
+    for i, row in enumerate(dec.rows):
+        for t in range(1, dec.n_cols + 1):
+            v = row.eval_float(t)
+            min_margin = min(min_margin, abs(v))
+            if (1 if v > 0 else (-1 if v < 0 else 0)) != target[i, t - 1]:
+                mismatches.append((i, t - 1))
+    if rational:
+        for i, row in enumerate(dec.rows):
+            coeffs = _loop_coefficients(row, dec.width)
+            for t in range(1, dec.n_cols + 1):
+                acc, power = Fraction(0), Fraction(1)
+                for cf in coeffs:
+                    acc += cf * power
+                    power *= t
+                if (1 if acc > 0 else (-1 if acc < 0 else 0)) != target[i, t - 1]:
+                    mismatches.append((i, t - 1))
+    return not mismatches, min_margin, sorted(set(mismatches))
+
+
+def _loop_sign_matrix(dec):
+    return np.array(
+        [[1 if row.eval_float(t) > 0 else -1 for t in range(1, dec.n_cols + 1)]
+         for row in dec.rows],
+        dtype=np.int64,
+    ).reshape(len(dec.rows), dec.n_cols)
+
+
+def _assert_matches_loops(adj, dec, rational=True):
+    ver = verify_sign_decomposition(adj, dec, rational=rational)
+    ok, margin, mismatches = _loop_verify(adj, dec, rational)
+    assert ver.ok == ok
+    assert ver.mismatches == mismatches
+    assert ver.min_margin == margin  # bitwise, not approximately
+    assert np.array_equal(dec.sign_matrix(), _loop_sign_matrix(dec))
+    assert dec.coefficient_matrix_exact() == [
+        _loop_coefficients(row, dec.width) for row in dec.rows
+    ]
+    return ver
+
+
+@pytest.mark.parametrize(
+    "epsilon", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(2, 7)]
+)
+@pytest.mark.parametrize("merge", [True, False])
+def test_verify_matches_scalar_loops(epsilon, merge):
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 10)), int(rng.integers(1, 13))
+        adj = random_adjacency(n, m, int(rng.integers(0, 6)), rng)
+        adj[0] = 1  # one constant +1 row and, below, one constant -1 row
+        if n > 1:
+            adj[-1] = 0
+        dec = sign_decompose(adj, epsilon, merge_blocks=merge)
+        ver = _assert_matches_loops(adj, dec)
+        assert ver.ok and ver.min_margin > 0
+
+
+@pytest.mark.parametrize(
+    "epsilon", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(2, 7)]
+)
+def test_tampered_roots_are_flagged_by_both_branches(epsilon):
+    rng = np.random.default_rng(5)
+    flagged = 0
+    for _ in range(30):
+        adj = random_adjacency(int(rng.integers(1, 7)), int(rng.integers(3, 12)), 4, rng)
+        dec = sign_decompose(adj, epsilon)
+        i = int(np.flatnonzero([bool(r.roots) for r in dec.rows] + [True])[0])
+        if i == len(dec.rows):
+            continue
+        # push the block's right root left past its own column: that
+        # column's sign flips, whatever branch evaluates it
+        row = dec.rows[i]
+        lo = row.roots[0] + epsilon
+        row.roots[1] = lo - Fraction(1, 5)
+        float_only = verify_sign_decomposition(adj, dec, rational=False)
+        assert (i, int(lo) - 1) in float_only.mismatches
+        ver = _assert_matches_loops(adj, dec)
+        assert not ver.ok and (i, int(lo) - 1) in ver.mismatches
+        flagged += 1
+    assert flagged >= 20
+
+
+def test_exact_branch_flags_what_the_float_pass_misses():
+    """A float value of the wrong sign cannot hide from the integer
+    check: a root exactly on a grid point makes the exact value 0."""
+    adj = np.array([[0, 1, 0, 0]])
+    dec = sign_decompose(adj)
+    dec.rows[0].roots[0] = Fraction(2)  # p(2) = 0 exactly
+    ver = _assert_matches_loops(adj, dec)
+    assert ver.mismatches == [(0, 1)]
+    assert ver.min_margin == 0.0
+
+
+def test_integer_coefficients_with_mixed_denominators():
+    # roots over 2, 3, 5 and 4, one pair around each of t = 1 and t = 3: q = 60
+    poly = RowSignPoly(sigma=-1, roots=[
+        Fraction(1, 2), Fraction(4, 3), Fraction(14, 5), Fraction(13, 4)
+    ])
+    coeffs, scale = poly.integer_coefficients(6)
+    assert scale == 60**4
+    assert all(type(c) is int for c in coeffs) and coeffs[5] == 0
+    assert poly.coefficients(6) == _loop_coefficients(poly, 6)
+    for t in range(-3, 8):
+        value = sum(c * t**k for k, c in enumerate(coeffs))
+        assert Fraction(value, scale) == poly.eval_exact(t)
+    dec = theory.SignDecomposition(
+        n_rows=1, n_cols=6, degree_cap=2, epsilon=Fraction(1, 2), rows=[poly]
+    )
+    ver = _assert_matches_loops(np.array([[1, 0, 1, 0, 0, 0]]), dec)
+    assert ver.ok
+
+
+def test_degree_above_width_still_raises():
+    adj = np.array([[0, 1, 0, 0, 0]])
+    dec = sign_decompose(adj)
+    dec.rows[0].roots += [Fraction(7, 2), Fraction(9, 2)]  # degree 4, width 3
+    with pytest.raises(ValueError, match="width"):
+        dec.coefficient_matrix_exact()
+    with pytest.raises(ValueError, match="width"):
+        dec.coefficient_matrix()
+    with pytest.raises(ValueError, match="width"):
+        verify_sign_decomposition(adj, dec, rational=True)
+    # the float pass alone needs no dense form
+    float_only = verify_sign_decomposition(adj, dec, rational=False)
+    ok, margin, mismatches = _loop_verify(adj, dec, rational=False)
+    assert (float_only.ok, float_only.min_margin, float_only.mismatches) == (ok, margin, mismatches)
+
+
+def test_verify_rejects_a_row_count_other_than_n_rows():
+    adj = np.array([[0, 1], [1, 0]])
+    dec = sign_decompose(adj)
+    dec.rows.pop()
+    with pytest.raises(ValueError, match="shape"):
+        verify_sign_decomposition(adj, dec)
+
+
+def test_verify_and_sign_matrix_scale_to_the_cli_cap():
+    """130 x 15,000 cells, under the CLI's DECOMPOSE_CELL_CAP; the scalar
+    loops took over 20 s each here."""
+    from kgmix.cli import DECOMPOSE_CELL_CAP
+
+    adj = random_adjacency(130, 15_000, 20, np.random.default_rng(0))
+    assert adj.size <= DECOMPOSE_CELL_CAP
+    dec = sign_decompose(adj)
+    t0 = time.perf_counter()
+    ver = verify_sign_decomposition(adj, dec)
+    t1 = time.perf_counter()
+    signs = dec.sign_matrix()
+    t2 = time.perf_counter()
+    assert ver.ok and not ver.rational_checked and ver.min_margin > 0
+    assert np.array_equal(signs, 2 * adj - 1)
+    assert t1 - t0 < 5.0, f"verify took {t1 - t0:.1f} s"
+    assert t2 - t1 < 5.0, f"sign_matrix took {t2 - t1:.1f} s"
+
+
 def test_sign_decompose_validation():
     with pytest.raises(ValueError, match="0 or 1"):
         sign_decompose(np.array([[0, 2]]))
