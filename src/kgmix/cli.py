@@ -155,7 +155,7 @@ def cmd_eval(args) -> int:
     ranks = eval_mod.ranking_metrics(
         scorer.scores, store, args.split, args.rank_mode, candidates
     )
-    nll = eval_mod.filtered_nll(scorer.log_probs, store, args.split, nll_filter)
+    nll = eval_mod.filtered_nll(scorer.scores, store, args.split, nll_filter)
     report = eval_mod.summarize(ranks, nll)
     report["checkpoint"] = args.checkpoint
     _emit(report, args.out)

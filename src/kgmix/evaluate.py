@@ -6,7 +6,10 @@ true object's rank is taken.  The optimistic rank counts strictly greater
 scores; the pessimistic rank also counts ties, so a constant score row
 yields rank 1 versus rank |pool|.
 
-Both metrics come from one batch kernel, _filtered_pass.
+Both metrics come from one batch kernel, _filtered_pass, which costs the
+scores plus work proportional to the filter and pool entries: filters come
+from the store's cached split keys (graph.TripleStore.triple_keys) and are
+applied as sparse corrections to the score rows, with no dense mask.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import TripleStore, filter_rows, triple_array
+from .graph import TripleStore, filter_rows, sorted_unique, triple_array
 
 HITS_AT = (1, 3, 10)
 
@@ -183,15 +186,6 @@ def _candidate_rows(candidates, n_triples: int, n_entities: int):
     return ptr, cols
 
 
-def _mask(out: np.ndarray, rows, start: int, stop: int, value: bool) -> np.ndarray:
-    """Fill out with value in CSR rows start..stop-1 of rows, not value elsewhere."""
-    ptr, cols = rows
-    out.fill(not value)
-    which = np.repeat(np.arange(stop - start), np.diff(ptr[start : stop + 1]))
-    out[which, cols[ptr[start] : ptr[stop]]] = value
-    return out
-
-
 def _filtered_pass(fn, store, split, filter_splits, batch_size,
                    rank_mode=None, candidates=None):
     """Per triple of the split: the true object's rank (with a rank_mode)
@@ -201,44 +195,58 @@ def _filtered_pass(fn, store, split, filter_splits, batch_size,
     fn(subjects, relations) gives one (batch, n_entities) row per triple,
     never written to.  A row keeps the true object and every entity that is
     neither a true object in filter_splits nor outside the triple's pool.
+    The filter and the pools are applied as sparse corrections: a full rank
+    counts the whole row and takes off the filtered entries that beat the
+    true object, a pool rank counts only the pool's kept entries, and the
+    NLL writes -inf at the filtered entries of a copy of the row.
     """
     triples = store.split(split)
     if not triples:
         raise ValueError(f"split {split!r} is empty")
     subs, rels, objs = triple_array(triples).T
     n, n_ent = len(triples), store.n_entities
-    filt = filter_rows(store, filter_splits, subs, rels)
-    pools = None if candidates is None else _candidate_rows(candidates, n, n_ent)
+    ptr, cols = filter_rows(store, filter_splits, subs, rels)
+    rows = np.repeat(np.arange(n), np.diff(ptr))
+    is_true = cols == objs[rows]
+    known = np.zeros(n, dtype=bool)
+    known[rows[is_true]] = True
+    if candidates is None:  # (rows, cols): the filtered entries, true objects aside
+        rows, cols = rows[~is_true], cols[~is_true]
+    else:  # (rows, cols): the pools' unique entries, neither filtered nor true
+        pool_ptr, pool_cols = _candidate_rows(candidates, n, n_ent)
+        pool_rows = np.repeat(np.arange(n), np.diff(pool_ptr))
+        pool = sorted_unique(pool_rows * n_ent + pool_cols)
+        filtered = np.isin(pool, rows * n_ent + cols, assume_unique=True)
+        rows, cols = np.divmod(pool[~filtered], n_ent)
+        kept = cols != objs[rows]
+        rows, cols = rows[kept], cols[kept]
+    bounds = np.searchsorted(rows, np.append(np.arange(0, n, batch_size), n))
 
     width = min(batch_size, n)
-    keep, pool = np.empty((2, width, n_ent), dtype=bool)
     work = np.empty((width, n_ent), dtype=bool if rank_mode else np.float64)
     values = np.empty(n, dtype=np.int64 if rank_mode else np.float64)
-    known = np.empty(n, dtype=bool)
-    for start in range(0, n, batch_size):
+    for b, start in enumerate(range(0, n, batch_size)):
         stop = min(start + batch_size, n)
         m = stop - start
-        rows, o = np.arange(m), objs[start:stop]
         z = np.asarray(fn(subs[start:stop], rels[start:stop]), dtype=np.float64)
         if z.shape != (m, n_ent):
             raise ValueError(f"scores have shape {z.shape}, expected ({m}, {n_ent})")
-        k = _mask(keep[:m], filt, start, stop, False)
-        known[start:stop] = ~k[rows, o]
-        k[rows, o] = True
-        if pools is not None:
-            k &= _mask(pool[:m], pools, start, stop, True)
+        lo, hi = bounds[b], bounds[b + 1]
+        r, c = rows[lo:hi] - start, cols[lo:hi]
+        t = z[np.arange(m), objs[start:stop]]
         w = work[:m]
         if rank_mode:
             beats = np.greater if rank_mode == "optimistic" else np.greater_equal
-            beats(z, z[rows, o][:, None], out=w)
-            w &= k
-            w[rows, o] = False
-            values[start:stop] = 1 + np.count_nonzero(w, axis=1)
+            ahead = np.bincount(r[beats(z[r, c], t[r])], minlength=m)
+            if candidates is None:  # the whole row, less t itself and the filter
+                beats(z, t[:, None], out=w)
+                ahead = np.count_nonzero(w, axis=1) - beats(t, t) - ahead
+            values[start:stop] = 1 + ahead
         else:
-            w.fill(-np.inf)
-            np.copyto(w, z, where=k)
+            np.copyto(w, z)
+            w[r, c] = -np.inf
             mx = w.max(axis=1, keepdims=True)
             w -= mx
             np.exp(w, out=w)
-            values[start:stop] = mx[:, 0] + np.log(w.sum(axis=1)) - z[rows, o]
+            values[start:stop] = mx[:, 0] + np.log(w.sum(axis=1)) - t
     return values, known

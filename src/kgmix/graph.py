@@ -4,13 +4,21 @@ A dataset is a directory with train.txt / valid.txt / test.txt (valid and
 test optional), or a single file treated as a train-only split.  Lines are
 tab-separated ``subject<TAB>relation<TAB>object`` labels.  Ids are assigned
 in first-appearance order, scanning train, then valid, then test.
+
+Each split of a TripleStore is a TrackedList, which counts its in-place
+changes.  The store builds the sorted (s*R + r)*N + o keys of a split
+combination once and keeps them until one of those splits changes or is
+reassigned; filter_rows and query_labels read them, so repeated filtered
+evaluation of one store sorts its triples only once per combination.
 """
 from __future__ import annotations
 
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain
+from operator import is_
 
 import numpy as np
 
@@ -20,15 +28,49 @@ Triple = tuple[int, int, int]
 INVERSE_SUFFIX = "^-1"
 
 SPLIT_FILES = (("train", "train.txt"), ("valid", "valid.txt"), ("test", "test.txt"))
+SPLITS = tuple(name for name, _ in SPLIT_FILES)
 
 
 class TripleFormatError(ValueError):
     """A dataset line that does not parse as three tab-separated labels."""
 
 
+class TrackedList(list):
+    """A list of triples that counts its in-place changes in .changes.
+
+    Every list method that changes the list in place (item, slice and del
+    assignment, +=, *= included) adds one to the count before it runs, so a
+    result derived from the list, stamped with the list and its count, is
+    stale exactly when either differs.  Copies and slices are plain lists.
+    """
+
+    changes = 0
+
+
+def _counting(method):
+    @wraps(method)
+    def counted(self, *args, **kwargs):
+        self.changes += 1
+        return method(self, *args, **kwargs)
+
+    return counted
+
+
+for _name in ("append", "extend", "insert", "pop", "remove", "clear", "sort",
+              "reverse", "__setitem__", "__delitem__", "__iadd__", "__imul__"):
+    setattr(TrackedList, _name, _counting(getattr(list, _name)))
+
+
 @dataclass
 class TripleStore:
-    """Integer-encoded triples plus the label tables behind the encoding."""
+    """Integer-encoded triples plus the label tables behind the encoding.
+
+    Assigning a split (train, valid or test), in the constructor or later,
+    stores it as a TrackedList (a copy, unless it is one already); it still
+    compares equal to a plain list of the same triples.  triple_keys builds
+    the filter keys of each split combination once and rebuilds them only
+    after one of its splits was changed in place or reassigned.
+    """
 
     entity_names: list[str]
     relation_names: list[str]
@@ -38,12 +80,19 @@ class TripleStore:
     inverse_augmented: bool = False
     entity_ids: dict[str, int] = field(default_factory=dict, repr=False)
     relation_ids: dict[str, int] = field(default_factory=dict, repr=False)
+    # split combination -> (split lists, their change counts, (N, R), keys)
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entity_ids:
             self.entity_ids = {n: i for i, n in enumerate(self.entity_names)}
         if not self.relation_ids:
             self.relation_ids = {n: i for i, n in enumerate(self.relation_names)}
+
+    def __setattr__(self, name, value):
+        if name in SPLITS and not isinstance(value, TrackedList):
+            value = TrackedList(value)
+        super().__setattr__(name, value)
 
     @property
     def n_entities(self) -> int:
@@ -54,7 +103,7 @@ class TripleStore:
         return len(self.relation_names)
 
     def split(self, name: str) -> list[Triple]:
-        if name not in ("train", "valid", "test"):
+        if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
@@ -63,6 +112,23 @@ class TripleStore:
         for s in splits:
             out.extend(self.split(s))
         return out
+
+    def triple_keys(self, splits) -> np.ndarray:
+        """The sorted unique keys (s*R + r)*N + o of the triples in the
+        splits, built once per split combination (in any order) and rebuilt
+        when one of its splits, N or R has changed since.  Read-only."""
+        combo = tuple(sorted(set(splits)))
+        lists = tuple(self.split(s) for s in combo)
+        changes = tuple(t.changes for t in lists)
+        shape = (self.n_entities, self.n_relations)
+        hit = self._keys.get(combo)
+        if hit and all(map(is_, hit[0], lists)) and hit[1:3] == (changes, shape):
+            return hit[3]
+        t = triple_array(self.all_triples(combo))
+        keys = sorted_unique((t[:, 0] * shape[1] + t[:, 1]) * shape[0] + t[:, 2])
+        keys.flags.writeable = False
+        self._keys[combo] = (lists, changes, shape, keys)
+        return keys
 
 
 def _parse_line(line: str, path: str, lineno: int) -> tuple[str, str, str]:
@@ -215,17 +281,24 @@ def triple_array(triples: list[Triple]) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array of non-negative integer keys, in
+    ascending order, from one sort.  np.unique hashes integer arrays first,
+    which takes several times longer and more memory on these keys."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def filter_rows(store: TripleStore, splits, subjects, relations):
     """The sorted unique true objects of each query (subjects[i],
     relations[i]) in the given splits, as CSR rows cols[ptr[i]:ptr[i + 1]].
 
-    Sorts the splits' (s*R + r)*N + o keys once and brackets each query's
-    key range with searchsorted, so no per-query Python work is done.
+    Brackets each query's range of the store's cached split keys
+    (TripleStore.triple_keys) with searchsorted: the triples are sorted once
+    per store and split combination, and no per-query Python work is done.
     """
     n_ent, n_rel = store.n_entities, store.n_relations
-    t = triple_array(store.all_triples(splits))
-    keys = np.sort((t[:, 0] * n_rel + t[:, 1]) * n_ent + t[:, 2])
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    keys = store.triple_keys(splits)
     base = (np.asarray(subjects, dtype=np.int64) * n_rel + relations) * n_ent
     lo = np.searchsorted(keys, base)
     counts = np.searchsorted(keys, base + n_ent) - lo
@@ -236,11 +309,12 @@ def filter_rows(store: TripleStore, splits, subjects, relations):
 def query_labels(store: TripleStore, splits=("train",)):
     """The sorted unique queries of the splits as (subjects, relations, ptr,
     cols): query i's sorted true objects are the CSR row cols[ptr[i]:ptr[i +
-    1]]."""
-    t = triple_array(store.all_triples(splits))
-    subs, rels = np.divmod(np.unique(t[:, 0] * store.n_relations + t[:, 1]),
-                           store.n_relations)
-    return (subs, rels, *filter_rows(store, splits, subs, rels))
+    1]], read off the store's cached split keys."""
+    keys = store.triple_keys(splits)
+    queries, cols = np.divmod(keys, store.n_entities)
+    starts = np.flatnonzero(np.diff(queries, prepend=-1))
+    subs, rels = np.divmod(queries[starts], store.n_relations)
+    return subs, rels, np.append(starts, keys.size), cols
 
 
 def csr_take(starts, counts, values):

@@ -395,7 +395,12 @@ def _chamber_points(a: np.ndarray) -> np.ndarray:
     (r the rank).  Near that ray the chambers are those of the hyperplanes
     through it, found by recursion in the ray's tangent space; stepping off
     +-ray by half the smallest |a . v| of the other hyperplanes keeps their
-    signs.  Deterministic: no sampling and no iteration cap.
+    signs.  Rays on exactly r - 1 hyperplanes (all of them, for rows in
+    general position) have Boolean local arrangements, solved in one
+    stacked pass (_boolean_frames).  The candidate points are deduplicated
+    by their packed sign rows in vectorized blocks, keeping the first point
+    of each chamber in ray order.  Deterministic: no sampling and no
+    iteration cap.
     """
     m, dim = a.shape
     if m == 0:
@@ -408,23 +413,72 @@ def _chamber_points(a: np.ndarray) -> np.ndarray:
     if r == 1:
         return np.array([[1.0], [-1.0]]) @ q
     if r == m:
-        signs = np.array(list(itertools.product((1.0, -1.0), repeat=r)))
-        return signs @ np.linalg.inv(b).T @ q
+        return _orthant_signs(r) @ np.linalg.inv(b).T @ q
     subsets = np.array(list(itertools.combinations(range(m), r - 1)))
     _, ssv, svt = np.linalg.svd(b[subsets])
     rays = svt[ssv[:, -1] > tol, -1]  # null directions of independent subsets
     through = np.abs(rays @ b.T) <= tol
-    _, first = np.unique(through, axis=0, return_index=True)
-    points = {}
-    for k in np.sort(first):
+    first = _first_rows(np.packbits(through, axis=1))
+    boolean = _boolean_frames(b, through, first) if r > 2 else {}
+    orthants = _orthant_signs(r - 1)
+    points, signs, pending = [], [], 0
+    for k in first:
         v, on = rays[k], through[k]
-        w = _chamber_points(b[on])
+        frame = boolean.get(k)
+        w = _chamber_points(b[on]) if frame is None else orthants @ frame[0] @ frame[1]
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         step = 0.5 * np.abs(b[~on] @ v).min()
-        y = np.concatenate([v + step * w, -v + step * w])
-        for key, point in zip(np.packbits(y @ b.T > 0, axis=1), y):
-            points.setdefault(key.tobytes(), point)
-    return np.array(list(points.values())) @ q
+        points.append(np.concatenate([v + step * w, -v + step * w]))
+        signs.append(np.packbits(points[-1] @ b.T > 0, axis=1))
+        pending += len(points[-1])
+        if pending >= _DEDUP_BLOCK:
+            points, signs = _first_points(points, signs)
+            pending = 0
+    return _first_points(points, signs)[0][0] @ q
+
+
+def _boolean_frames(b: np.ndarray, through: np.ndarray, rays) -> dict:
+    """For each of the rays on exactly r - 1 hyperplanes (r = b's width) of
+    rank r - 1, whose local arrangement is therefore Boolean: the factors
+    (inverse transposed, basis) with which _chamber_points solves it, so its
+    points are _orthant_signs(r - 1) @ inverse transposed @ basis.  One
+    stacked svd and one stacked inverse run the same LAPACK routine on each
+    matrix as the recursion's own calls would, so the bits are the same."""
+    r = b.shape[1]
+    rays = rays[through[rays].sum(axis=1) == r - 1]
+    local = b[np.nonzero(through[rays])[1].reshape(len(rays), r - 1)]
+    sv, basis = np.linalg.svd(local, full_matrices=False)[1:]
+    full = (sv > _ON_HYPERPLANE_TOL).all(axis=1)
+    rays, local, basis = rays[full], local[full], basis[full]
+    inv_t = np.linalg.inv(local @ basis.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return dict(zip(rays.tolist(), zip(inv_t, basis)))
+
+
+def _orthant_signs(r: int) -> np.ndarray:
+    """Every +-1 row of length r, in itertools.product((1.0, -1.0)) order."""
+    return 1.0 - 2.0 * (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1) & 1)
+
+
+# candidate points are deduplicated once per this many, so memory holds at
+# most a block of them plus one point per chamber
+_DEDUP_BLOCK = 1 << 16
+
+
+def _first_points(points: list, signs: list) -> tuple[list, list]:
+    """The points (a list of row blocks, sign rows alike) whose packed sign
+    row occurs first, in their order, as one block."""
+    signs = np.concatenate(signs)
+    first = _first_rows(signs)
+    return [np.concatenate(points)[first]], [signs[first]]
+
+
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """The ascending indices of the first occurrence of each distinct row."""
+    order = np.lexsort(rows.T)  # stable, so equal rows keep their order
+    ordered = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[new])
 
 
 def _require_closed_form(what: str, found: int, closed_form: int) -> None:
@@ -460,11 +514,13 @@ def enumerate_feasible_signs(e) -> SignEnumeration:
     if n > MAX_SIGN_ROWS:
         raise ValueError(f"sign enumeration capped at {MAX_SIGN_ROWS} rows")
     check_general_position_signs(e)
+    points = _chamber_points(_unit_rows(e, 1e-9, "sign enumeration"))
+    s = points @ e.T
+    strict = (s != 0).all(axis=1)
     found = {}
-    for h in _chamber_points(_unit_rows(e, 1e-9, "sign enumeration")):
-        s = e @ h
-        if (s != 0).all():
-            found.setdefault(tuple(1 if x > 0 else -1 for x in s), h)
+    patterns = map(tuple, np.where(s[strict] > 0, 1, -1).tolist())
+    for p, h in zip(patterns, points[strict]):
+        found.setdefault(p, h)
     bound = feasible_sign_bound(n, d)
     _require_closed_form("sign enumeration", len(found), bound)
     return SignEnumeration(

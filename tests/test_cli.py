@@ -124,23 +124,35 @@ def test_train_no_inverses(toy_dir, tmp_path):
     assert extra["inverse_augmented"] is False
 
 
-def test_eval_matches_in_process(toy_dir, tmp_path):
+def test_eval_matches_in_process(toy_dir, tmp_path, monkeypatch):
     out_dir = tmp_path / "run"
     assert _train(toy_dir, out_dir)[0] == 0
+    log_probs, calls = Scorer.log_probs, []
+
+    def counting(self, subjects, relations):
+        calls.append(len(subjects))
+        return log_probs(self, subjects, relations)
+
+    monkeypatch.setattr(Scorer, "log_probs", counting)
     report = run_json([
         "eval", "--checkpoint", out_dir / "checkpoint.kgm",
         "--dataset", toy_dir, "--split", "test",
     ])
+    assert calls == []  # the NLL reads the scores too
 
     model, mos_params, _ = load_checkpoint(str(out_dir / "checkpoint.kgm"))
     store = augment_inverse(load_triples(toy_dir))
     scorer = Scorer(model, mos_params)
     want_ranks = ranking_metrics(scorer.scores, store, "test")
-    want_nll = filtered_nll(scorer.log_probs, store, "test", ("train",))
+    want_nll = filtered_nll(scorer.scores, store, "test", ("train",))
+    logp_nll = filtered_nll(scorer.log_probs, store, "test", ("train",))
     assert report["mrr"] == want_ranks.mrr
     assert report["mr"] == want_ranks.mr
     assert report["hits"]["hits@1"] == want_ranks.hits[1]
     assert report["mean_filtered_nll"] == want_nll.mean_nll
+    assert report["mean_filtered_nll"] == pytest.approx(
+        logp_nll.mean_nll, rel=1e-12, abs=0
+    )
     assert report["n_queries"] == 4  # two test triples plus their inverses
     assert report["rank_mode"] == "optimistic"
     assert report["nll_filter"] == ["train"]

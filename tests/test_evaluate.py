@@ -5,11 +5,13 @@ import pytest
 
 from kgmix.evaluate import (
     HITS_AT,
+    _candidate_rows,
+    _filtered_pass,
     evaluate_model,
     filtered_nll,
     ranking_metrics,
 )
-from kgmix.graph import TripleStore, build_query_index
+from kgmix.graph import TripleStore, build_query_index, filter_rows, triple_array
 
 
 def filtered_rank(scores, true_id: int, filter_ids=(), mode: str = "optimistic") -> int:
@@ -436,3 +438,115 @@ def test_candidate_ids_out_of_range_raise():
         cands[-1] = cands[-1] + [bad]
         with pytest.raises(ValueError, match="outside"):
             ranking_metrics(score_fn, store, "test", candidates=cands)
+
+
+# ---- the sparse-correction kernel against the dense-mask kernel it replaced ----
+
+
+def _mask(out, rows, start, stop, value):
+    """Fill out with value in CSR rows start..stop-1 of rows, not value elsewhere."""
+    ptr, cols = rows
+    out.fill(not value)
+    which = np.repeat(np.arange(stop - start), np.diff(ptr[start : stop + 1]))
+    out[which, cols[ptr[start] : ptr[stop]]] = value
+    return out
+
+
+def _dense_filtered_pass(fn, store, split, filter_splits, batch_size,
+                         rank_mode=None, candidates=None):
+    """The reference kernel: dense (batch x entities) keep and pool masks."""
+    triples = store.split(split)
+    subs, rels, objs = triple_array(triples).T
+    n, n_ent = len(triples), store.n_entities
+    filt = filter_rows(store, filter_splits, subs, rels)
+    pools = None if candidates is None else _candidate_rows(candidates, n, n_ent)
+
+    width = min(batch_size, n)
+    keep, pool = np.empty((2, width, n_ent), dtype=bool)
+    work = np.empty((width, n_ent), dtype=bool if rank_mode else np.float64)
+    values = np.empty(n, dtype=np.int64 if rank_mode else np.float64)
+    known = np.empty(n, dtype=bool)
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        m = stop - start
+        rows, o = np.arange(m), objs[start:stop]
+        z = np.asarray(fn(subs[start:stop], rels[start:stop]), dtype=np.float64)
+        k = _mask(keep[:m], filt, start, stop, False)
+        known[start:stop] = ~k[rows, o]
+        k[rows, o] = True
+        if pools is not None:
+            k &= _mask(pool[:m], pools, start, stop, True)
+        w = work[:m]
+        if rank_mode:
+            beats = np.greater if rank_mode == "optimistic" else np.greater_equal
+            beats(z, z[rows, o][:, None], out=w)
+            w &= k
+            w[rows, o] = False
+            values[start:stop] = 1 + np.count_nonzero(w, axis=1)
+        else:
+            w.fill(-np.inf)
+            np.copyto(w, z, where=k)
+            mx = w.max(axis=1, keepdims=True)
+            w -= mx
+            np.exp(w, out=w)
+            values[start:stop] = mx[:, 0] + np.log(w.sum(axis=1)) - z[rows, o]
+    return values, known
+
+
+def _assert_same_pass(*args, **kwargs):
+    got, got_known = _filtered_pass(*args, **kwargs)
+    want, want_known = _dense_filtered_pass(*args, **kwargs)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # equal ranks, bitwise-equal NLLs
+    assert got_known.tolist() == want_known.tolist()
+    return got, got_known
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("batch_size", [1, 4, 512])
+def test_sparse_kernel_equals_the_dense_kernel(seed, batch_size):
+    """Integer scores (many ties), pools with duplicates, filtered ids and
+    the true object, and test triples whose true object is filtered."""
+    store, score_fn, pools = _random_case(seed)
+    for mode in ("optimistic", "pessimistic"):
+        for cands in (None, pools):
+            _assert_same_pass(score_fn, store, "test", ("train", "valid", "test"),
+                              batch_size, mode, cands)
+    for filter_splits in (("train",), ("train", "valid"), ("train", "valid", "test")):
+        _assert_same_pass(score_fn, store, "test", filter_splits, batch_size)
+
+
+def test_sparse_kernel_on_extreme_rows():
+    """A filtered true object (skipped), filtered scores 900 above every kept
+    score, a pool holding only filtered ids and the true object, and ties
+    with +-inf."""
+    store = TripleStore(
+        entity_names=[f"e{i}" for i in range(6)], relation_names=["r"],
+        train=[(0, 0, 1), (0, 0, 2), (1, 0, 3)], valid=[],
+        test=[(0, 0, 3), (0, 0, 1), (1, 0, 0), (1, 0, 5)],
+    )
+    table = np.array([
+        [0.0, 900.0, 850.0, 1.0, 2.0, -3.0],
+        [0.0, 900.0, 850.0, 1.0, 2.0, -3.0],
+        [np.inf, 5.0, 5.0, np.inf, -np.inf, 5.0],
+        [np.inf, 5.0, 5.0, np.inf, -np.inf, 5.0],
+    ])
+
+    def score_fn(subs, rels):  # one row per test triple, in one batch
+        return table
+
+    pools = [[1, 2, 3, 3], [1, 2], [3, 3, 0], [0, 3, 4, 4]]
+    ranks = {}
+    for mode in ("optimistic", "pessimistic"):
+        for cands in (None, pools):
+            ranks[mode, cands is None], _ = _assert_same_pass(
+                score_fn, store, "test", ("train",), 4, mode, cands)
+    assert ranks["optimistic", True].tolist() == [2, 1, 1, 2]
+    assert ranks["pessimistic", True].tolist() == [2, 1, 1, 4]
+    assert ranks["pessimistic", False].tolist() == [1, 1, 1, 2]
+    with np.errstate(invalid="ignore"):  # rows 2 and 3 hold inf - inf: NaN in both
+        nll, known = _assert_same_pass(score_fn, store, "test", ("train",), 4)
+    assert known.tolist() == [False, True, False, False]
+    kept = np.log(np.exp([0.0, 1.0, 2.0, -3.0]).sum())
+    assert nll[0] == pytest.approx(kept - 1.0, rel=1e-15)
+    assert np.isfinite(nll[[0, 1]]).all()

@@ -1,4 +1,6 @@
 """Triple store loading, augmentation, indexing, and degree statistics."""
+import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,13 +9,16 @@ import pytest
 from kgmix import graph
 from kgmix.graph import (
     DegreeStats,
+    TrackedList,
     TripleFormatError,
+    TripleStore,
     augment_inverse,
     build_query_index,
     dataset_stats,
     degree_stats,
     filter_rows,
     load_triples,
+    query_labels,
     sufficient_dim,
 )
 
@@ -225,3 +230,143 @@ def test_dataset_stats_rejects_augmented(toy_store):
 def test_split_name_validation(toy_store):
     with pytest.raises(ValueError):
         toy_store.split("dev")
+
+
+# ---- cached split keys: every change to a split is seen ----
+
+NEW = (5, 1, 2)  # in no split of the toy store
+
+
+def _iadd(store):
+    store.train += [NEW]
+
+
+def _imul(store):
+    store.train *= 0
+
+
+def _setitem(store):
+    store.train[0] = NEW
+
+
+def _setslice(store):
+    store.train[2:5] = [NEW, (4, 0, 0)]
+
+
+def _delitem(store):
+    del store.train[0]
+
+
+def _delslice(store):
+    del store.train[1:4]
+
+
+def _reassign(store):
+    store.train = store.train[:3] + [NEW]
+
+
+MUTATIONS = {
+    "append": lambda st: st.train.append(NEW),
+    "extend": lambda st: st.train.extend([NEW, (4, 0, 0)]),
+    "insert": lambda st: st.train.insert(1, NEW),
+    "pop": lambda st: st.train.pop(),
+    "remove": lambda st: st.train.remove((0, 0, 2)),
+    "clear": lambda st: st.train.clear(),
+    "sort": lambda st: st.train.sort(reverse=True),
+    "reverse": lambda st: st.train.reverse(),
+    "setitem": _setitem,
+    "setslice": _setslice,
+    "delitem": _delitem,
+    "delslice": _delslice,
+    "iadd": _iadd,
+    "imul": _imul,
+    "reassign": _reassign,
+}
+
+
+def _filters(store):
+    """filter_rows for every query and query_labels, as lists, for two
+    split combinations that hold train."""
+    subs, rels = np.meshgrid(np.arange(6), np.arange(2), indexing="ij")
+    subs, rels = subs.ravel(), rels.ravel()  # every query, known or not
+    out = []
+    for splits in (("train",), ("valid", "train", "test")):
+        out.append([a.tolist() for a in filter_rows(store, splits, subs, rels)])
+        out.append([a.tolist() for a in query_labels(store, splits)])
+    return out
+
+
+def _fresh(store):
+    """The same triples in a new store, built from plain lists."""
+    return TripleStore(list(store.entity_names), list(store.relation_names),
+                       list(store.train), list(store.valid), list(store.test))
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_cached_keys_follow_every_change(toy_store, name):
+    before = _filters(toy_store)  # builds and caches the keys
+    train, changes = toy_store.train, toy_store.train.changes
+    MUTATIONS[name](toy_store)
+    assert isinstance(toy_store.train, TrackedList)
+    assert toy_store.train is not train or toy_store.train.changes > changes
+    after = _filters(toy_store)
+    assert after == _filters(_fresh(toy_store))
+    if name not in ("sort", "reverse"):  # these keep the set of triples
+        assert after != before
+
+
+def test_splits_stay_lists_and_replace_works(toy_store):
+    plain = [(1, 0, 4), (3, 1, 5)]
+    assert toy_store.split("test") == plain and plain == toy_store.test
+    assert isinstance(toy_store.test, TrackedList) and isinstance(toy_store.test, list)
+    assert repr(toy_store.test) == repr(plain)
+    assert toy_store == _fresh(toy_store)
+
+    keys = toy_store.triple_keys(("train",))
+    assert toy_store.triple_keys(["train", "train"]) is keys  # cached
+    with pytest.raises(ValueError):
+        keys[0] = 0
+    other = dataclasses.replace(toy_store, test=[(0, 0, 3)])
+    assert isinstance(other.test, TrackedList) and other.test == [(0, 0, 3)]
+    assert other.train == toy_store.train
+    assert filter_rows(other, ("test",), [0, 1], [0, 0])[1].tolist() == [3]
+    assert filter_rows(toy_store, ("test",), [0, 1], [0, 0])[1].tolist() == [4]
+
+    clone = copy.deepcopy(toy_store)
+    clone.train.append(NEW)
+    assert _filters(clone) == _filters(_fresh(clone))
+    assert _filters(toy_store) == _filters(_fresh(toy_store))
+
+
+def test_keys_follow_new_entities_and_relations(toy_store):
+    before = query_labels(toy_store, ("train",))
+    toy_store.entity_names.append("e6")  # N enters the keys
+    after = query_labels(toy_store, ("train",))
+    for a, b in zip(before, after):
+        assert a.tolist() == b.tolist()
+    assert toy_store.triple_keys(("train",))[0] == (0 * 2 + 0) * 7 + 1
+
+
+def test_split_keys_built_once_per_combination(toy_store, monkeypatch):
+    """evaluate_model, then a candidate-pool ranking, then another split's
+    evaluation sort each filter combination's triples once."""
+    from kgmix.evaluate import evaluate_model, ranking_metrics
+    from kgmix.models import Scorer, init_model
+
+    built = []
+    triple_array = graph.triple_array
+
+    def counting(triples):
+        built.append(len(triples))
+        return triple_array(triples)
+
+    monkeypatch.setattr(graph, "triple_array", counting)
+    scorer = Scorer(init_model("distmult", 6, 2, 3, seed=2))
+    evaluate_model(scorer, toy_store, "test")
+    ranking_metrics(scorer.scores, toy_store, "test", candidates=[[0, 1, 1], [2]])
+    evaluate_model(scorer, toy_store, "valid", nll_filter_splits=("train",))
+    query_labels(toy_store, ("train",))
+    assert built == [12, 8]  # train+valid+test for ranks, train for the NLL
+    toy_store.valid.append(NEW)
+    evaluate_model(scorer, toy_store, "test")
+    assert built == [12, 8, 13]

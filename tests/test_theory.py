@@ -558,6 +558,7 @@ def _rankings_certified(e, enum):
     ("rankings", 7, 3, 0, 352),
     ("signs", 10, 3, 0, 92),
     ("signs", 16, 3, 0, 242),
+    ("signs", 16, 8, 0, 32768),  # 2.9 million candidate points, deduplicated
 ])
 def test_enumeration_regressions(kind, n, d, seed, want):
     e = np.random.default_rng(seed).standard_normal((n, d))
@@ -607,6 +608,58 @@ def test_chamber_points_on_a_non_generic_arrangement():
     margins = theory._chamber_points(unit) @ unit.T
     assert (np.abs(margins) > 1e-6).all()
     assert len({tuple(row) for row in margins > 0}) == len(margins) == want
+
+
+def _dict_chamber_points(a):
+    """The per-point dictionary dedup that theory._chamber_points replaced,
+    kept as the reference for the points and their order."""
+    m, dim = a.shape
+    if m == 0:
+        return np.zeros((1, dim))
+    tol = theory._ON_HYPERPLANE_TOL
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    r = int((sv > tol).sum())
+    q = vt[:r]
+    b = a @ q.T
+    if r == 1:
+        return np.array([[1.0], [-1.0]]) @ q
+    if r == m:
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=r)))
+        return signs @ np.linalg.inv(b).T @ q
+    subsets = np.array(list(itertools.combinations(range(m), r - 1)))
+    _, ssv, svt = np.linalg.svd(b[subsets])
+    rays = svt[ssv[:, -1] > tol, -1]
+    through = np.abs(rays @ b.T) <= tol
+    _, first = np.unique(through, axis=0, return_index=True)
+    points = {}
+    for k in np.sort(first):
+        v, on = rays[k], through[k]
+        w = _dict_chamber_points(b[on])
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        step = 0.5 * np.abs(b[~on] @ v).min()
+        y = np.concatenate([v + step * w, -v + step * w])
+        for key, point in zip(np.packbits(y @ b.T > 0, axis=1), y):
+            points.setdefault(key.tobytes(), point)
+    return np.array(list(points.values())) @ q
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_chamber_points_equal_the_per_point_dedup(monkeypatch, block):
+    """Bitwise the same points in the same order, on generic, ranking and
+    non-generic arrangements, also when deduplicated in small blocks."""
+    if block is not None:
+        monkeypatch.setattr(theory, "_DEDUP_BLOCK", block)
+    rng = np.random.default_rng(5)
+    cases = [rng.standard_normal(shape) for shape in ((6, 3), (9, 4), (11, 5), (7, 2))]
+    e = rng.standard_normal((6, 3))
+    i, j = np.triu_indices(6, 1)
+    cases.append(e[i] - e[j])
+    cases.append(np.array([v for v in itertools.product((-1, 0, 1), repeat=3)
+                           if v > (0, 0, 0)], dtype=float))
+    for a in cases:
+        a = a / np.linalg.norm(a, axis=1, keepdims=True)
+        got, want = theory._chamber_points(a), _dict_chamber_points(a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_enumerations_raise_below_the_closed_form(monkeypatch):
