@@ -194,12 +194,15 @@ def _filtered_pass(fn, store, split, filter_splits, batch_size,
 
     fn(subjects, relations) gives one (batch, n_entities) row per triple,
     never written to.  A row keeps the true object and every entity that is
-    neither a true object in filter_splits nor outside the triple's pool.
+    neither a true object in filter_splits nor outside the triple's pool;
+    pools apply to ranks only.
     The filter and the pools are applied as sparse corrections: a full rank
     counts the whole row and takes off the filtered entries that beat the
     true object, a pool rank counts only the pool's kept entries, and the
     NLL writes -inf at the filtered entries of a copy of the row.
     """
+    if candidates is not None and not rank_mode:
+        raise ValueError("candidate pools need a rank_mode")
     triples = store.split(split)
     if not triples:
         raise ValueError(f"split {split!r} is empty")

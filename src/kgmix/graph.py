@@ -90,8 +90,11 @@ class TripleStore:
             self.relation_ids = {n: i for i, n in enumerate(self.relation_names)}
 
     def __setattr__(self, name, value):
-        if name in SPLITS and not isinstance(value, TrackedList):
-            value = TrackedList(value)
+        if name in SPLITS:
+            if not isinstance(value, TrackedList):
+                value = TrackedList(value)
+            for combo in [c for c in self.__dict__.get("_keys", ()) if name in c]:
+                del self._keys[combo]  # frees the replaced split and its keys
         super().__setattr__(name, value)
 
     @property
@@ -116,7 +119,12 @@ class TripleStore:
     def triple_keys(self, splits) -> np.ndarray:
         """The sorted unique keys (s*R + r)*N + o of the triples in the
         splits, built once per split combination (in any order) and rebuilt
-        when one of its splits, N or R has changed since.  Read-only."""
+        when one of its splits, N or R has changed since.  Read-only.
+
+        Reassigning a split drops the keys that hold it at once; after an
+        in-place change the stale keys stay until their combination is
+        asked for again, so the store holds at most one array per
+        combination."""
         combo = tuple(sorted(set(splits)))
         lists = tuple(self.split(s) for s in combo)
         changes = tuple(t.changes for t in lists)

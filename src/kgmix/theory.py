@@ -443,7 +443,10 @@ def _boolean_frames(b: np.ndarray, through: np.ndarray, rays) -> dict:
     (inverse transposed, basis) with which _chamber_points solves it, so its
     points are _orthant_signs(r - 1) @ inverse transposed @ basis.  One
     stacked svd and one stacked inverse run the same LAPACK routine on each
-    matrix as the recursion's own calls would, so the bits are the same."""
+    matrix as the recursion's own calls would, so the bits are the same;
+    the tests check this against the recursion.  A numpy that batched them
+    differently could move witnesses in their last bits; each is still
+    tested for strictness before an enumerator keeps it."""
     r = b.shape[1]
     rays = rays[through[rays].sum(axis=1) == r - 1]
     local = b[np.nonzero(through[rays])[1].reshape(len(rays), r - 1)]

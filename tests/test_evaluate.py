@@ -514,6 +514,8 @@ def test_sparse_kernel_equals_the_dense_kernel(seed, batch_size):
                               batch_size, mode, cands)
     for filter_splits in (("train",), ("train", "valid"), ("train", "valid", "test")):
         _assert_same_pass(score_fn, store, "test", filter_splits, batch_size)
+    with pytest.raises(ValueError, match="rank_mode"):  # pools rank, never NLL
+        _filtered_pass(score_fn, store, "test", ("train",), batch_size, None, pools)
 
 
 def test_sparse_kernel_on_extreme_rows():

@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -335,6 +336,14 @@ def test_splits_stay_lists_and_replace_works(toy_store):
     clone = copy.deepcopy(toy_store)
     clone.train.append(NEW)
     assert _filters(clone) == _filters(_fresh(clone))
+    assert _filters(toy_store) == _filters(_fresh(toy_store))
+
+
+def test_reassigning_a_split_frees_the_old_one(toy_store):
+    _filters(toy_store)  # caches keys that hold train
+    old = weakref.ref(toy_store.train)
+    toy_store.train = list(toy_store.train)
+    assert old() is None  # no cached entry keeps the replaced split alive
     assert _filters(toy_store) == _filters(_fresh(toy_store))
 
 
