@@ -6,7 +6,7 @@ adjoints into Parameter.grad.  The op set is deliberately closed: each op
 has a hand-written adjoint, and finite_difference_check certifies all of
 them against central differences.  The training loss is one fused op,
 mixture_xent, and the inference head is numpy (mos.head_log_probs), so no
-(batch x entities) matrix goes on any tape.
+(batch x entities) matrix goes on any tape; both call exp_shifted_rows.
 """
 from __future__ import annotations
 
@@ -44,6 +44,23 @@ def log_softmax_rows(z: np.ndarray) -> np.ndarray:
     mx = z.max(axis=1, keepdims=True)
     z -= mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True))
     return z
+
+
+def exp_shifted_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one softmax kernel: write exp(z - row max) into z, and return
+    the row maxima and the row sums of the result, both (rows, 1)."""
+    mx = z.max(axis=1, keepdims=True)
+    z -= mx
+    np.exp(z, out=z)
+    return mx, z.sum(axis=1, keepdims=True)
+
+
+def dropout_mask(shape, p: float, rng: np.random.Generator | None) -> np.ndarray:
+    """The one dropout mask formula: 0 or 1/(1-p) per entry, drawn from rng;
+    inverted scaling keeps expectations fixed, so inference needs none."""
+    if rng is None:
+        raise ValueError("training dropout needs an rng")
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -233,12 +250,6 @@ class Tape:
 
     # ---- softmax family ----
 
-    def row_softmax(self, x: Node) -> Node:
-        shifted = x.value - x.value.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        value = e / e.sum(axis=1, keepdims=True)
-        return self._record("row_softmax", value, (x,))
-
     def row_log_softmax(self, x: Node) -> Node:
         return self._record("row_log_softmax", log_softmax_rows(x.value.copy()), (x,))
 
@@ -256,15 +267,17 @@ class Tape:
         value = mx + np.log(np.exp(stacked - mx).sum(axis=0))
         return self._record("stack_logsumexp", value, tuple(xs))
 
-    def row_entropy(self, p: Node) -> Node:
-        """Shannon entropy of each row of a row-stochastic matrix, (n, 1)."""
-        pv = p.value
-        if (pv < 0).any():
-            raise ValueError("row_entropy needs non-negative entries")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(pv > 0, pv * np.log(np.where(pv > 0, pv, 1.0)), 0.0)
+    def row_entropy(self, log_p: Node) -> Node:
+        """Entropy -sum_j p_j log p_j of each row, (n, 1), from log p; an
+        entry with p = 0 (log p = -inf) adds 0 to the value and gradient."""
+        lp = log_p.value
+        if not (lp < np.inf).all():
+            raise ValueError("row_entropy needs log-probabilities: no NaN or +inf")
+        p = np.exp(lp)
+        with np.errstate(invalid="ignore"):
+            plogp = np.where(p > 0, p * lp, 0.0)
         value = -plogp.sum(axis=1, keepdims=True)
-        return self._record("row_entropy", value, (p,))
+        return self._record("row_entropy", value, (log_p,), {"p": p})
 
     def weighted_sum(self, x: Node, weight: float = 1.0) -> Node:
         """weight * sum of all entries, as a 1x1 node."""
@@ -324,10 +337,7 @@ class Tape:
         for j, h in enumerate(states):
             e = h.value @ entities.value.T
             picked = e[rows, cols]
-            mx = e.max(axis=1, keepdims=True)
-            e -= mx
-            np.exp(e, out=e)
-            s = e.sum(axis=1, keepdims=True)
+            mx, s = exp_shifted_rows(e)
             lse = mx + np.log(s)
             a[j] = (picked - lse[rows, 0]) + lp[rows, j]
             exps.append(e)
@@ -442,19 +452,15 @@ def _backward_rule(node: Node, g: np.ndarray):
         else:
             dx = dxhat * inv_std
         return (dx, dgamma, dbeta)
-    if op == "row_softmax":
-        s = node.value
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
     if op == "row_log_softmax":
         soft = np.exp(node.value)
         return (g - soft * g.sum(axis=1, keepdims=True),)
     if op == "stack_logsumexp":
         return tuple(g * np.exp(x.value - node.value) for x in a)
     if op == "row_entropy":
-        pv = a[0].value
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(pv > 0, 1.0 + np.log(np.where(pv > 0, pv, 1.0)), 0.0)
-        return (-g * term,)
+        p = node.ctx["p"]
+        with np.errstate(invalid="ignore"):
+            return (np.where(p > 0, -g * p * (1.0 + a[0].value), 0.0),)
     if op == "weighted_sum":
         w = node.ctx["weight"]
         return (np.full_like(a[0].value, w * g[0, 0]),)

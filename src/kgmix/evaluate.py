@@ -203,6 +203,8 @@ def _filtered_pass(fn, store, split, filter_splits, batch_size,
     """
     if candidates is not None and not rank_mode:
         raise ValueError("candidate pools need a rank_mode")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     triples = store.split(split)
     if not triples:
         raise ValueError(f"split {split!r} is empty")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mos as mos_mod
-from .autodiff import Node, Parameter, Tape, xavier_uniform
+from .autodiff import Node, Parameter, Tape, dropout_mask, xavier_uniform
 
 ENCODERS = ("distmult", "rescal", "mlp")
 
@@ -138,10 +138,7 @@ def encode(
             tape.affine(h1, tape.param(model.mlp_w2), tape.param(model.mlp_b2)), slope
         )
     if training and dropout > 0.0:
-        if rng is None:
-            raise ValueError("training dropout needs an rng")
-        mask = (rng.random(h.value.shape) >= dropout) / (1.0 - dropout)
-        h = tape.dropout(h, mask)
+        h = tape.dropout(h, dropout_mask(h.value.shape, dropout, rng))
     return h
 
 
@@ -161,11 +158,10 @@ class Scorer:
         self.slope = slope
 
     def _head(self, h: Node, tape: Tape) -> np.ndarray:
-        entities = self.model.entities.value
-        if self.mos is None:
-            return mos_mod.head_log_probs([h.value], entities)
         log_pi, states = mos_mod.mixture_states(self.mos, h, tape, slope=self.slope)
-        return mos_mod.head_log_probs([s.value for s in states], entities, log_pi.value)
+        lp = None if log_pi is None else log_pi.value
+        entities = self.model.entities.value
+        return mos_mod.head_log_probs([s.value for s in states], entities, lp)
 
     def scores(self, subjects, relations) -> np.ndarray:
         with Tape() as tape:

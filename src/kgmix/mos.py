@@ -3,10 +3,11 @@
 A single softmax over H @ E^T has a log-probability matrix of rank at most
 d+1.  The mixture blends K softmaxes, each over a separately projected copy
 of H, with query-dependent priors; for K >= 2 the blend is no longer
-log-linear in H and escapes that rank ceiling.  mixture_states builds the
-log-priors and the projected states on a tape; training feeds them to the
-fused Tape.mixture_xent loss, and inference feeds their values to
-head_log_probs.  That head mixes the components in probability space,
+log-linear in H and escapes that rank ceiling.  mixture_states, the one
+forward of both layers, builds the log-priors and the projected states on
+a tape; training feeds them to the fused Tape.mixture_xent loss and the
+prior entropy, and inference feeds their values to head_log_probs.  That
+head mixes the components in probability space,
 p = sum_k pi_k softmax(Z_k) (Yang et al. 2018), under a per-row shift, and
 falls back to log space only for rows whose mixture underflows there.
 """
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    BatchNormState, Node, Parameter, Tape, log_softmax_rows, xavier_uniform,
+    BatchNormState, Node, Parameter, Tape, dropout_mask, exp_shifted_rows,
+    log_softmax_rows, xavier_uniform,
 )
 
 
@@ -90,20 +92,6 @@ def init_mos(k: int, dim: int, rng: np.random.Generator) -> MosParams:
     return MosParams(k=k, dim=dim, omegas=omegas, components=components)
 
 
-def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    # inverted scaling keeps expectations fixed, so inference needs no rescale
-    return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def prior_logits(mos: MosParams, h: Node, tape: Tape) -> Node:
-    return tape.matmul(h, tape.param(mos.omegas), transpose_b=True)
-
-
-def priors(mos: MosParams, h: Node, tape: Tape) -> Node:
-    """Row-stochastic (batch, k) matrix of component weights."""
-    return tape.row_softmax(prior_logits(mos, h, tape))
-
-
 def project(
     mos: MosParams,
     component: MosComponent,
@@ -125,28 +113,30 @@ def project(
         x = tape.batch_norm(x, tape.param(gamma), tape.param(beta), bn, training)
         x = tape.leaky_relu(x, slope)
         if training and dropout > 0.0:
-            if rng is None:
-                raise ValueError("training dropout needs an rng")
-            x = tape.dropout(x, _dropout_mask(x.value.shape, dropout, rng))
+            x = tape.dropout(x, dropout_mask(x.value.shape, dropout, rng))
     return x
 
 
 def mixture_states(
-    mos: MosParams,
+    mos: MosParams | None,
     h: Node,
     tape: Tape,
     training: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     slope: float = 0.01,
-) -> tuple[Node, list[Node]]:
-    """The (batch, k) log-priors log pi(H) and each component's projected
-    states f_k(H), projected in component order.
+) -> tuple[Node | None, list[Node]]:
+    """The (batch, k) log-priors log pi(H), the only prior node a forward
+    records, and each component's projected states f_k(H), projected in
+    component order; (None, [H]) for the plain softmax (mos=None).
 
     Priors and projections both consume the same H node, so dropout applied
     upstream of this call affects them identically.
     """
-    log_pi = tape.row_log_softmax(prior_logits(mos, h, tape))
+    if mos is None:
+        return None, [h]
+    logits = tape.matmul(h, tape.param(mos.omegas), transpose_b=True)
+    log_pi = tape.row_log_softmax(logits)
     states = [
         project(mos, comp, h, tape, training, dropout, rng, slope)
         for comp in mos.components
@@ -157,17 +147,20 @@ def mixture_states(
 def head_log_probs(states, entities, log_pi=None) -> np.ndarray:
     """log sum_k pi_k softmax(states[k] @ E^T) from numpy arrays, with the
     log-priors log pi in the columns of log_pi; the plain softmax passes
-    one state and log_pi=None.
+    one state and log_pi=None.  log_pi must be (batch, k).
 
     One component is log_softmax_rows, bitwise the tape's row_log_softmax
-    (a one-column log_pi is exactly 0).  For more, each Z_k is shifted by
-    its row max and exponentiated in one reused buffer, then added into one
+    (a one-column log_pi is exactly 0).  For more, each Z_k goes through
+    exp_shifted_rows in one reused buffer, then is added into one
     accumulator with weight pi_k / (s_k max_k pi_k), s_k its row sum: the
     row is shifted by its largest log-prior, so each entry stays at or
     below k.  A row whose accumulator falls below the smallest normal float
     has lost digits to underflow and is recomputed in log space as
     logsumexp_k(log pi_k + Z_k - lse_k), so it stays finite (e.g. -800).
     """
+    shape = (len(states[0]), len(states))
+    if log_pi is not None and log_pi.shape != shape:
+        raise ValueError(f"log_pi must be {shape}, got {log_pi.shape}")
     if len(states) == 1:
         out = log_softmax_rows(states[0] @ entities.T)
         return out if log_pi is None else out + log_pi
@@ -178,9 +171,8 @@ def head_log_probs(states, entities, log_pi=None) -> np.ndarray:
     z = None
     for k, h in enumerate(states):
         z = np.matmul(h, entities.T, out=z)
-        z -= z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z *= np.exp(log_pi[:, k : k + 1] - shift) / z.sum(axis=1, keepdims=True)
+        _, s = exp_shifted_rows(z)
+        z *= np.exp(log_pi[:, k : k + 1] - shift) / s
         acc += z
     bad = np.flatnonzero(acc.min(axis=1) < np.finfo(np.float64).tiny)
     with np.errstate(divide="ignore"):

@@ -516,6 +516,7 @@ def enumerate_feasible_signs(e) -> SignEnumeration:
     n, d = e.shape
     if n > MAX_SIGN_ROWS:
         raise ValueError(f"sign enumeration capped at {MAX_SIGN_ROWS} rows")
+    bound = feasible_sign_bound(n, d)  # rejects n < 1 and d < 1
     check_general_position_signs(e)
     points = _chamber_points(_unit_rows(e, 1e-9, "sign enumeration"))
     s = points @ e.T
@@ -524,7 +525,6 @@ def enumerate_feasible_signs(e) -> SignEnumeration:
     patterns = map(tuple, np.where(s[strict] > 0, 1, -1).tolist())
     for p, h in zip(patterns, points[strict]):
         found.setdefault(p, h)
-    bound = feasible_sign_bound(n, d)
     _require_closed_form("sign enumeration", len(found), bound)
     return SignEnumeration(
         n=n, dim=d, patterns=sorted(found), bound=bound, witnesses=found
@@ -557,6 +557,7 @@ def enumerate_feasible_rankings(e) -> RankingEnumeration:
         raise ValueError(f"ranking enumeration capped at {MAX_RANKING_ROWS} rows")
     if d > MAX_RANKING_DIM:
         raise ValueError(f"ranking enumeration capped at dim {MAX_RANKING_DIM}")
+    bound = feasible_ordering_bound(n, d)  # rejects n < 1 and d < 1
     check_general_position_rankings(e)
     i, j = np.triu_indices(n, 1)
     normals = _unit_rows(e[i] - e[j], 1e-9, "ranking enumeration")
@@ -566,9 +567,7 @@ def enumerate_feasible_rankings(e) -> RankingEnumeration:
         order = np.argsort(-s)
         if (s[order[:-1]] > s[order[1:]]).all():
             found.setdefault(tuple(order.tolist()), h)
-    _require_closed_form(
-        "ranking enumeration", len(found), feasible_ordering_bound(n, d)
-    )
+    _require_closed_form("ranking enumeration", len(found), bound)
     return RankingEnumeration(n=n, dim=d, rankings=sorted(found), witnesses=found)
 
 

@@ -2,12 +2,12 @@
 
 The batch unit is a query, not a triple: each query's label row spreads
 probability mass uniformly over its true objects.  Label rows are CSR
-(built once per run with numpy) and the loss is the fused
-Tape.mixture_xent, so no (batch x entities) matrix goes on the tape for
-either output layer.  Shuffling is replayable
-because each epoch draws from a counter-based Philox stream keyed by
-(seed, epoch); runs with equal configs are bitwise identical for a fixed
-thread count.
+(built once per run with numpy).  Both output layers run mixture_states
+and the fused Tape.mixture_xent, so no (batch x entities) matrix goes on
+the tape, and the prior entropy reads the recorded log-priors.  Shuffling
+is replayable because each epoch draws from a counter-based Philox stream
+keyed by (seed, epoch); runs with equal configs are bitwise identical for
+a fixed thread count.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .autodiff import Node, Tape
 from .evaluate import ranking_metrics
 from .graph import TripleStore, csr_take, query_labels
 from .models import ENCODERS, ModelParams, Scorer, encode, init_model, state_arrays
-from .mos import MosParams, init_mos, mixture_states, priors
+from .mos import MosParams, init_mos, mixture_states
 
 OUTPUT_LAYERS = ("softmax", "mos")
 
@@ -59,8 +59,8 @@ class TrainConfig:
             raise ValueError("dim and k must be positive")
         if self.lr is not None and self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        if self.batch_size < 1 or self.eval_batch_size < 1:
+            raise ValueError("batch_size and eval_batch_size must be positive")
         if self.epochs < 0 or self.patience < 1:
             raise ValueError("need epochs >= 0 and patience >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -69,9 +69,10 @@ class TrainConfig:
             raise ValueError("entropy_weight must be non-negative")
 
 
-def entropy_reg(pi: Node, tape: Tape) -> Node:
-    """Mean Shannon entropy of the prior rows (a 1x1 node)."""
-    return tape.weighted_sum(tape.row_entropy(pi), 1.0 / pi.value.shape[0])
+def entropy_reg(log_pi: Node, tape: Tape) -> Node:
+    """Mean Shannon entropy of the prior rows (a 1x1 node), read from the
+    (batch, k) log-priors that mixture_states recorded."""
+    return tape.weighted_sum(tape.row_entropy(log_pi), 1.0 / log_pi.value.shape[0])
 
 
 def batch_loss(
@@ -93,16 +94,13 @@ def batch_loss(
         model, subjects, relations, tape, training=True,
         dropout=config.dropout, rng=rng, slope=config.leaky_slope,
     )
-    entities = tape.param(model.entities)
-    if mos is None:
-        return tape.mixture_xent([h], entities, ptr, cols)
     log_pi, states = mixture_states(
         mos, h, tape, training=True, dropout=config.dropout, rng=rng,
         slope=config.leaky_slope,
     )
-    loss = tape.mixture_xent(states, entities, ptr, cols, log_pi)
-    if config.entropy_weight > 0:
-        reg = entropy_reg(priors(mos, h, tape), tape)
+    loss = tape.mixture_xent(states, tape.param(model.entities), ptr, cols, log_pi)
+    if log_pi is not None and config.entropy_weight > 0:
+        reg = entropy_reg(log_pi, tape)
         loss = tape.subtract(loss, tape.weighted_sum(reg, config.entropy_weight))
     return loss
 

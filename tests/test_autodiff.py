@@ -11,9 +11,11 @@ from kgmix.autodiff import (
     BatchNormState,
     Parameter,
     Tape,
+    exp_shifted_rows,
     finite_difference_check,
     xavier_uniform,
 )
+from kgmix.mos import head_log_probs
 
 FD_TOL = 1e-5
 FD_TOL_BN = 1e-4
@@ -144,13 +146,9 @@ def test_softmax_family_grads():
     x = Parameter("x", rng.standard_normal((4, 6)))
     w_full = rng.standard_normal((4, 6))
 
-    def build_softmax(t):
-        return scalarize(t, t.row_softmax(t.param(x)), w_full)
-
     def build_log_softmax(t):
         return scalarize(t, t.row_log_softmax(t.param(x)), w_full)
 
-    assert finite_difference_check(build_softmax, [x]) <= FD_TOL
     assert finite_difference_check(build_log_softmax, [x]) <= FD_TOL
 
 
@@ -260,14 +258,26 @@ def test_batch_norm_inference_uses_running_stats():
 
 def test_row_entropy_values_and_grads():
     t = Tape()
-    p = t.constant(np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]]))
-    h = t.row_entropy(p).value
+    with np.errstate(divide="ignore"):
+        lp = np.log(np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]]))
+    h = t.row_entropy(t.constant(lp)).value
     assert h[0, 0] == pytest.approx(np.log(4.0), abs=1e-12)
-    assert h[1, 0] == 0.0  # one-hot rows carry zero entropy
+    assert h[1, 0] == 0.0  # one-hot rows (log 0 = -inf) carry zero entropy
+
+    # d/dlp of -p lp is -p (1 + lp): -1 at the one-hot entry, 0 at log 0
+    x = Parameter("lp", lp)
+    tape = Tape()
+    tape.backward(tape.weighted_sum(tape.row_entropy(tape.param(x))))
+    assert np.allclose(x.grad[0], -0.25 * (1.0 + np.log(0.25)), rtol=0, atol=1e-15)
+    assert np.array_equal(x.grad[1], [-1.0, 0.0, 0.0, 0.0])
+
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="log-probabilities"):
+            t.row_entropy(t.constant(np.array([[bad, 0.0]])))
 
     rng = np.random.default_rng(14)
     raw = rng.random((3, 5)) + 0.1
-    x = Parameter("p", raw / raw.sum(axis=1, keepdims=True))
+    x = Parameter("lp", np.log(raw / raw.sum(axis=1, keepdims=True)))
     w = rng.standard_normal((3, 1))
 
     def build(tape):
@@ -428,7 +438,7 @@ def test_tape_context_drops_its_nodes_on_exit():
     gc.disable()
     try:
         with Tape() as tape:
-            node = tape.row_softmax(tape.param(x))
+            node = tape.row_log_softmax(tape.param(x))
             assert tape.nodes
         assert tape.nodes == []
         ref = weakref.ref(tape)
@@ -446,7 +456,7 @@ def test_tape_outside_a_with_block_dies_by_reference_counting():
     gc.disable()
     try:
         tape = Tape()
-        loss = tape.weighted_sum(tape.row_softmax(tape.param(x)))
+        loss = tape.weighted_sum(tape.row_log_softmax(tape.param(x)))
         tape.backward(loss)
         ref = weakref.ref(tape)
         del tape
@@ -561,6 +571,36 @@ def test_mixture_xent_is_finite_at_extreme_logits(k):
     want_loss, _ = grads_of(build_ref, params)
     assert np.isfinite(got_loss) and all(np.isfinite(g).all() for g in got)
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_mixture_xent_is_the_inference_head_at_the_labels(k):
+    """The fused loss is the label-weighted mean of -head_log_probs at the
+    label entries; row 1 scores reach +-700."""
+    hs, e, lp, ptr, cols, _ = xent_case(25, k, n=6, n_ent=9, d=4)
+    for h in hs:
+        h.value[1] *= 700.0 / np.abs(h.value[1] @ e.value.T).max()
+    assert np.abs(hs[0].value[1] @ e.value.T).max() == pytest.approx(700.0)
+    log_pi = None
+    if lp is not None:
+        lp.value -= np.logaddexp.reduce(lp.value, axis=1, keepdims=True)
+        log_pi = lp.value
+    logp = head_log_probs([h.value for h in hs], e.value, log_pi)
+    counts = np.diff(ptr)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    want = -(logp[rows, cols] / counts[rows]).sum() / len(counts)
+    got = fused(Tape(), hs, e, lp, ptr, cols).value[0, 0]
+    assert np.isfinite(got)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_exp_shifted_rows_in_place():
+    z = np.array([[1.0, 3.0, 2.0], [-700.0, 700.0, 0.0]])
+    orig = z.copy()
+    mx, s = exp_shifted_rows(z)
+    assert np.array_equal(mx, [[3.0], [700.0]])
+    assert np.array_equal(z, np.exp(orig - mx))
+    assert np.array_equal(s, z.sum(axis=1, keepdims=True))
 
 
 def test_mixture_xent_zero_prior_equals_softmax_bitwise():

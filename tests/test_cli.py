@@ -248,6 +248,15 @@ def test_analyze_rankings():
     assert out["rankings"][0] == out["rankings"][1][::-1]
 
 
+@pytest.mark.parametrize("what", ["signs", "rankings"])
+@pytest.mark.parametrize("n,dim", [(0, 2), (3, 0)])
+def test_analyze_enumerators_reject_empty_shapes(capsys, what, n, dim):
+    rc, out = run_cli(["analyze", what, "--n", n, "--dim", dim])
+    assert rc == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == "error: need n >= 1 and d >= 1\n"
+
+
 def test_analyze_rankings_thin_chamber():
     """Seed 11 has orderings whose chambers a million random directions miss."""
     out = run_json(["analyze", "rankings", "--n", 5, "--dim", 3, "--seed", 11])

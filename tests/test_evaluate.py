@@ -199,6 +199,18 @@ def test_ranking_validation(toy_store):
         ranking_metrics(bad_fn, toy_store, "test")
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_batch_size_below_one_raises(toy_store, batch_size):
+    from kgmix.models import Scorer, init_model
+
+    scorer = Scorer(init_model("distmult", 6, 2, 3, seed=2))
+    for run in (ranking_metrics, filtered_nll):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            run(scorer.scores, toy_store, "test", batch_size=batch_size)
+    with pytest.raises(ValueError, match="batch_size must be positive"):
+        evaluate_model(scorer, toy_store, "test", batch_size=batch_size)
+
+
 def test_filtered_nll_worked_example():
     """Removing a known-true object renormalizes the rest: with row
     probabilities (0.5, 0.3, 0.2) and object 0 filtered, the true object 1

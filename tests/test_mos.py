@@ -11,7 +11,6 @@ from kgmix.mos import (
     head_log_probs,
     init_mos,
     mixture_states,
-    priors,
     project,
 )
 
@@ -53,11 +52,18 @@ def random_log_priors(rng, n, k):
     return a - np.logaddexp.reduce(a, axis=1, keepdims=True)
 
 
+def priors(mix, h):
+    """The prior probabilities pi(H), from the log-priors mixture_states
+    records."""
+    t = Tape()
+    log_pi, _ = mixture_states(mix, t.constant(h), t)
+    return np.exp(log_pi.value)
+
+
 def test_priors_worked_example():
     mix = init_mos(2, 1, np.random.default_rng(0))
     mix.omegas.value[...] = [[np.log(2.0)], [0.0]]
-    t = Tape()
-    pi = priors(mix, t.constant(np.array([[1.0]])), t).value
+    pi = priors(mix, np.array([[1.0]]))
     # logits [ln 2, 0] -> [2/3, 1/3]
     assert np.allclose(pi, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
@@ -65,17 +71,25 @@ def test_priors_worked_example():
 def test_priors_uniform_when_omegas_zero(rng):
     mix = init_mos(4, 3, np.random.default_rng(1))
     mix.omegas.value[...] = 0.0
-    t = Tape()
-    pi = priors(mix, t.constant(rng.standard_normal((6, 3))), t).value
+    pi = priors(mix, rng.standard_normal((6, 3)))
     assert np.allclose(pi, 0.25, atol=1e-15)
     assert np.abs(pi.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_priors_are_query_dependent(rng):
     mix = init_mos(3, 4, np.random.default_rng(2))
-    t = Tape()
-    pi = priors(mix, t.constant(rng.standard_normal((5, 4))), t).value
+    pi = priors(mix, rng.standard_normal((5, 4)))
     assert not np.allclose(pi[0], pi[1])
+
+
+def test_no_mixture_passes_the_states_through(rng):
+    """mixture_states(None, ...) is the plain softmax's forward: no prior,
+    H itself as the one state, nothing recorded."""
+    t = Tape()
+    h = t.constant(rng.standard_normal((4, 3)))
+    log_pi, states = mixture_states(None, h, t, training=True, dropout=0.5)
+    assert log_pi is None and states == [h] and states[0] is h
+    assert len(t.nodes) == 1
 
 
 def test_k1_mixture_is_exactly_one_softmax(rng):
@@ -165,6 +179,17 @@ def test_head_is_finite_and_exact_at_extreme_logits():
 def test_head_needs_log_priors_for_a_mixture():
     with pytest.raises(ValueError, match="log_pi"):
         head_log_probs([np.ones((3, 2))] * 2, np.ones((4, 2)))
+
+
+def test_head_rejects_log_priors_not_shaped_batch_by_k():
+    states, e = [np.ones((3, 2))] * 2, np.ones((4, 2))
+    # one log-prior column too many would leave rows summing to 2/3
+    for bad in (np.full((3, 3), np.log(1 / 3)), np.zeros((2, 2)), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match=r"log_pi must be \(3, 2\)"):
+            head_log_probs(states, e, bad)
+    with pytest.raises(ValueError, match=r"log_pi must be \(3, 1\)"):
+        head_log_probs(states[:1], e, np.zeros((3, 2)))
+    assert head_log_probs(states, e, np.log(np.full((3, 2), 0.5))).shape == (3, 4)
 
 
 def test_project_training_dropout_needs_rng(rng):

@@ -436,6 +436,13 @@ def test_enumerate_signs_rejects_degenerate_rows():
         enumerate_feasible_signs(e)  # rows 0, 1, 2 are coplanar
 
 
+def test_enumerators_reject_empty_shapes():
+    for enumerate_ in (enumerate_feasible_signs, enumerate_feasible_rankings):
+        for shape in ((0, 2), (3, 0), (0, 0)):
+            with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+                enumerate_(np.zeros(shape))
+
+
 def test_enumerate_signs_row_cap():
     e = np.random.default_rng(0).standard_normal((MAX_SIGN_ROWS + 1, 2))
     with pytest.raises(ValueError, match="capped"):

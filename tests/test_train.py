@@ -11,7 +11,7 @@ from kgmix import train as train_mod
 from kgmix.autodiff import Parameter, Tape
 from kgmix.graph import TripleStore, build_query_index, query_labels
 from kgmix.models import Scorer, encode, init_model, state_arrays
-from kgmix.mos import init_mos, priors
+from kgmix.mos import init_mos, mixture_states
 from kgmix.train import (
     Adam,
     TrainConfig,
@@ -96,10 +96,28 @@ def test_batch_tape_holds_no_batch_by_entities_node(output_layer):
     assert all(n.value.shape != (batch, n_ent) for n in tape.nodes)
 
 
+def test_mixture_batch_records_its_priors_once():
+    """The entropy regulariser reads the log-priors that mixture_states
+    recorded: one prior matmul and one log-softmax on a MoS batch tape, no
+    second prior path."""
+    model = init_model("distmult", 40, 3, 4, seed=0)
+    mos = init_mos(3, 4, np.random.default_rng(1))
+    cfg = TrainConfig(dim=4, k=3, output_layer="mos", entropy_weight=1e-3)
+    tape = Tape()
+    batch_loss(model, mos, cfg, np.arange(6), np.arange(6) % 3, np.arange(7),
+               np.arange(6) * 5, tape, np.random.default_rng(2))
+    ops = [n.op for n in tape.nodes]
+    assert ops.count("matmul") == 1 and ops.count("row_log_softmax") == 1
+    assert "row_softmax" not in ops
+    (entropy,) = [n for n in tape.nodes if n.op == "row_entropy"]
+    (log_pi,) = [n for n in tape.nodes if n.op == "row_log_softmax"]
+    assert entropy.parents == (log_pi,)
+
+
 def test_entropy_reg_uniform_value():
     t = Tape()
-    pi = t.constant(np.full((4, 4), 0.25))
-    assert entropy_reg(pi, t).value[0, 0] == pytest.approx(np.log(4.0), abs=1e-12)
+    log_pi = t.constant(np.full((4, 4), np.log(0.25)))
+    assert entropy_reg(log_pi, t).value[0, 0] == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_adam_zero_grad_is_noop():
@@ -161,6 +179,8 @@ def test_config_validation_and_lr_defaults():
         dict(k=0),
         dict(lr=-1.0),
         dict(batch_size=0),
+        dict(eval_batch_size=0),
+        dict(eval_batch_size=-1),
         dict(epochs=-1),
         dict(patience=0),
         dict(dropout=1.0),
@@ -302,7 +322,7 @@ def _mean_prior_entropy(store, res):
     rels = np.array([t[1] for t in store.train])
     tape = Tape()
     h = encode(res.model, subs, rels, tape)
-    pi = priors(res.mos, h, tape).value
+    pi = np.exp(mixture_states(res.mos, h, tape)[0].value)
     return float(-(pi * np.log(np.clip(pi, 1e-300, None))).sum(axis=1).mean())
 
 
@@ -317,6 +337,12 @@ def test_entropy_regularizer_raises_prior_entropy(toy_store, seed):
         entropies[w] = _mean_prior_entropy(toy_store, res)
     assert entropies[2.0] > entropies[0.0]
     assert entropies[2.0] <= np.log(3.0) + 1e-9  # can never beat uniform
+
+
+def test_train_rejects_eval_batch_below_one_before_training(toy_store, monkeypatch):
+    monkeypatch.setattr(train_mod, "batch_loss", None)  # any batch would fail
+    with pytest.raises(ValueError, match="eval_batch_size"):
+        train_loop(toy_store, TrainConfig(dim=2, epochs=1, eval_batch_size=0))
 
 
 def test_train_requires_triples():
