@@ -28,9 +28,14 @@ def numerical_rank(m, rel_tol: float = 1e-8) -> int:
     counts those exceeding rel_tol times the largest pivot seen.  Complete
     pivoting keeps element growth tame, so the pivot sequence separates
     cleanly at the numerical rank for the matrices this package produces.
+    A NaN or infinite entry raises ValueError: no pivot would compare
+    above it, and the rank would read 0.
     """
     a = as_matrix(m).copy()
     n, k = a.shape
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise ValueError(f"numerical_rank: entry ({i}, {j}) is not finite")
     if n == 0 or k == 0:
         return 0
     if rel_tol < 0:
@@ -66,7 +71,9 @@ def _fraction_rows(m) -> list[list[Fraction]]:
 
 
 def exact_rank(m) -> int:
-    """Exact rank over the rationals via fraction-free-order elimination.
+    """Exact rank over the rationals: Gaussian elimination on
+    fractions.Fraction entries, taking the first nonzero entry of each
+    column as its pivot.
 
     Entries must be exactly representable (ints, bools, or floats that are
     already rational, e.g. 0.5).  Capped at EXACT_RANK_CELL_CAP cells since

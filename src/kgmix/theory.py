@@ -303,32 +303,69 @@ def _unit_rows(e: np.ndarray, tol: float, what: str) -> np.ndarray:
     return e / norms[:, None]
 
 
+def _require_finite_rows(e: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(e).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{what}: row {int(np.argmax(bad))} is not finite")
+
+
+def _combinations(n: int, k: int) -> np.ndarray:
+    """(C(n, k), k) index array in itertools.combinations order."""
+    subsets = itertools.combinations(range(n), k)
+    return np.array(list(subsets), dtype=np.int64).reshape(math.comb(n, k), k)
+
+
+def _first_dependent(sub: np.ndarray, tol: float) -> int | None:
+    """Index of the first stacked (k, d) matrix, k <= d, whose rows are
+    numerically dependent (|det|, or the smallest singular value when
+    k < d, at or below tol), or None."""
+    k, d = sub.shape[1:]
+    if k == d:
+        bad = np.abs(np.linalg.det(sub)) <= tol
+    else:
+        bad = np.linalg.svd(sub, compute_uv=False)[:, -1] <= tol
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def check_general_position_signs(e, tol: float = 1e-9) -> None:
-    """Reject zero rows, coincident directions, and degenerate d-subsets."""
+    """Reject non-finite and zero rows, coincident directions, and
+    degenerate d-subsets; the first degenerate subset in combinations order
+    is named."""
     e = linalg.as_matrix(e)
     n, d = e.shape
+    _require_finite_rows(e, "sign enumeration")
     en = _unit_rows(e, tol, "sign enumeration")
     if d >= 2:
         gram = np.abs(en @ en.T)
         np.fill_diagonal(gram, 0.0)
         if (gram > 1.0 - 1e-12).any():
             raise ValueError("sign enumeration: coincident row directions")
-    k = min(n, d)
-    for subset in itertools.combinations(range(n), k):
-        sub = en[list(subset)]
-        if k == d:
-            bad = abs(np.linalg.det(sub)) <= tol
-        else:
-            bad = np.linalg.svd(sub, compute_uv=False)[-1] <= tol
-        if bad:
-            raise ValueError(
-                f"sign enumeration: rows {subset} are numerically dependent"
-            )
+    subsets = _combinations(n, min(n, d))
+    bad = _first_dependent(en[subsets], tol)
+    if bad is not None:
+        raise ValueError(
+            f"sign enumeration: rows {tuple(subsets[bad].tolist())} are "
+            "numerically dependent"
+        )
+
+
+def _forests(edges: np.ndarray, n: int) -> np.ndarray:
+    """Which of the stacked edge lists (subsets, k, 2) on n vertices are
+    acyclic: each edge must join two components, which are then merged."""
+    label = np.tile(np.arange(n), (len(edges), 1))
+    acyclic = np.ones(len(edges), dtype=bool)
+    at = np.arange(len(edges))
+    for u, v in edges.transpose(1, 2, 0):
+        lu, lv = label[at, u], label[at, v]
+        acyclic &= lu != lv
+        label = np.where(label == lv[:, None], lu[:, None], label)
+    return acyclic
 
 
 def check_general_position_rankings(e, tol: float = 1e-9) -> None:
-    """Genericity for score orderings: all rows distinct, and every acyclic
-    (forest) subset of pairwise difference vectors has full rank.
+    """Genericity for score orderings: all rows finite and distinct, and
+    every acyclic (forest) subset of pairwise difference vectors has full
+    rank; the first degenerate forest in combinations order is named.
 
     Subsets whose index pairs contain a cycle are structurally dependent
     ((e1-e2) + (e2-e3) - (e1-e3) = 0 identically), so only forests carry
@@ -336,47 +373,25 @@ def check_general_position_rankings(e, tol: float = 1e-9) -> None:
     """
     e = linalg.as_matrix(e)
     n, d = e.shape
-    pairs = list(itertools.combinations(range(n), 2))
-    diffs = np.array([e[i] - e[j] for i, j in pairs])
+    _require_finite_rows(e, "ranking enumeration")
+    pairs = _combinations(n, 2)
+    diffs = e[pairs[:, 0]] - e[pairs[:, 1]]
     if diffs.size == 0:
         return
     norms = np.linalg.norm(diffs, axis=1)
     if (norms <= tol).any():
-        i, j = pairs[int(np.argmin(norms))]
+        i, j = pairs[int(np.argmin(norms))].tolist()
         raise ValueError(f"ranking enumeration: rows {i} and {j} coincide")
     dn = diffs / norms[:, None]
-    k = min(d, n - 1)  # a forest has at most n - 1 edges
-    for subset in itertools.combinations(range(len(pairs)), k):
-        # union-find cycle test on the chosen edges
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for idx in subset:
-            a, b = pairs[idx]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if not acyclic:
-            continue
-        sub = dn[list(subset)]
-        if k == d:
-            bad = abs(np.linalg.det(sub)) <= tol
-        else:
-            bad = np.linalg.svd(sub, compute_uv=False)[-1] <= tol
-        if bad:
-            edges = [pairs[i] for i in subset]
-            raise ValueError(
-                f"ranking enumeration: difference vectors {edges} are "
-                "numerically dependent"
-            )
+    subsets = _combinations(len(pairs), min(d, n - 1))  # a forest has <= n - 1 edges
+    subsets = subsets[_forests(pairs[subsets], n)]
+    bad = _first_dependent(dn[subsets], tol)
+    if bad is not None:
+        edges = list(map(tuple, pairs[subsets[bad]].tolist()))
+        raise ValueError(
+            f"ranking enumeration: difference vectors {edges} are "
+            "numerically dependent"
+        )
 
 
 # |a . v| at or below this (unit normal a, unit ray v) puts v on a's
@@ -389,72 +404,118 @@ def _chamber_points(a: np.ndarray) -> np.ndarray:
     """One interior point of every chamber of the central arrangement
     {x : a_i . x = 0}, as rows; the rows of a are unit normals.
 
-    The lineality space is quotiented out first.  Independent normals cut
-    out every sign vector, solved for directly.  Otherwise every chamber is
-    a pointed cone, so it touches a ray cut out by r - 1 independent normals
-    (r the rank).  Near that ray the chambers are those of the hyperplanes
-    through it, found by recursion in the ray's tangent space; stepping off
+    The lineality space is quotiented out first (rank r).  Independent
+    normals cut out every sign vector, solved for directly.  Otherwise every
+    chamber is a pointed cone, so it touches a ray cut out by r - 1
+    independent normals.  Near that ray the chambers are those of the
+    hyperplanes through it, a local arrangement of lower rank; stepping off
     +-ray by half the smallest |a . v| of the other hyperplanes keeps their
-    signs.  Rays on exactly r - 1 hyperplanes (all of them, for rows in
-    general position) have Boolean local arrangements, solved in one
-    stacked pass (_boolean_frames).  The candidate points are deduplicated
-    by their packed sign rows in vectorized blocks, keeping the first point
-    of each chamber in ray order.  Deterministic: no sampling and no
-    iteration cap.
+    signs.  The candidate points are deduplicated by their sign rows,
+    keeping the first point of each chamber in ray order.
+
+    The arrangement is walked level by level (_chamber_level), with no
+    loop over rays: the local arrangements of all rays of one level are
+    the next level, and those of one shape go through each svd, inv and
+    matmul as one stack.  A level takes its rays in blocks of about
+    _DEDUP_BLOCK candidate points, and each block computes the steps,
+    points and sign rows of all its rays at once.  Every stacked call runs
+    the LAPACK or BLAS routine that one call per arrangement or per ray
+    would, on a matrix of the same shape, so the points are the same bits.
+    Deterministic: no sampling and no iteration cap.
     """
     m, dim = a.shape
     if m == 0:
         return np.zeros((1, dim))
-    tol = _ON_HYPERPLANE_TOL
+    [(_, points)] = _chamber_level(a[None])  # one node, so one group
+    return points[0]
+
+
+def _chamber_level(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Chamber points of a stack of arrangements (nodes, m, dim) with unit
+    rows, as (node indices, (nodes, points, dim) stack) groups, one group
+    for each count of points."""
+    m = a.shape[1]
     _, sv, vt = np.linalg.svd(a, full_matrices=False)
-    r = int((sv > tol).sum())
-    q = vt[:r]  # orthonormal rows spanning the normals
-    b = a @ q.T  # the same unit normals in R^r
-    if r == 1:
-        return np.array([[1.0], [-1.0]]) @ q
-    if r == m:
-        return _orthant_signs(r) @ np.linalg.inv(b).T @ q
-    subsets = np.array(list(itertools.combinations(range(m), r - 1)))
-    _, ssv, svt = np.linalg.svd(b[subsets])
-    rays = svt[ssv[:, -1] > tol, -1]  # null directions of independent subsets
-    through = np.abs(rays @ b.T) <= tol
-    first = _first_rows(np.packbits(through, axis=1))
-    boolean = _boolean_frames(b, through, first) if r > 2 else {}
-    orthants = _orthant_signs(r - 1)
-    points, signs, pending = [], [], 0
-    for k in first:
-        v, on = rays[k], through[k]
-        frame = boolean.get(k)
-        w = _chamber_points(b[on]) if frame is None else orthants @ frame[0] @ frame[1]
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        step = 0.5 * np.abs(b[~on] @ v).min()
-        points.append(np.concatenate([v + step * w, -v + step * w]))
-        signs.append(np.packbits(points[-1] @ b.T > 0, axis=1))
-        pending += len(points[-1])
-        if pending >= _DEDUP_BLOCK:
-            points, signs = _first_points(points, signs)
-            pending = 0
-    return _first_points(points, signs)[0][0] @ q
+    rank = (sv > _ON_HYPERPLANE_TOL).sum(axis=1)
+    groups = []
+    for r in np.unique(rank).tolist():
+        ids = np.flatnonzero(rank == r)
+        q = vt[ids, :r]  # orthonormal rows spanning the normals
+        if r == 1:
+            groups.append((ids, np.array([[1.0], [-1.0]]) @ q))
+            continue
+        b = a[ids] @ q.transpose(0, 2, 1)  # the same unit normals in R^r
+        if r == m:
+            inv_t = np.linalg.inv(b).transpose(0, 2, 1)
+            groups.append((ids, _orthant_signs(r) @ inv_t @ q))
+        else:
+            groups += [(ids[k], y) for k, y in _ray_level(b, q)]
+    return groups
 
 
-def _boolean_frames(b: np.ndarray, through: np.ndarray, rays) -> dict:
-    """For each of the rays on exactly r - 1 hyperplanes (r = b's width) of
-    rank r - 1, whose local arrangement is therefore Boolean: the factors
-    (inverse transposed, basis) with which _chamber_points solves it, so its
-    points are _orthant_signs(r - 1) @ inverse transposed @ basis.  One
-    stacked svd and one stacked inverse run the same LAPACK routine on each
-    matrix as the recursion's own calls would, so the bits are the same;
-    the tests check this against the recursion.  A numpy that batched them
-    differently could move witnesses in their last bits; each is still
-    tested for strictness before an enumerator keeps it."""
-    r = b.shape[1]
-    rays = rays[through[rays].sum(axis=1) == r - 1]
-    local = b[np.nonzero(through[rays])[1].reshape(len(rays), r - 1)]
-    sv, basis = np.linalg.svd(local, full_matrices=False)[1:]
-    full = (sv > _ON_HYPERPLANE_TOL).all(axis=1)
-    rays, local, basis = rays[full], local[full], basis[full]
-    inv_t = np.linalg.inv(local @ basis.transpose(0, 2, 1)).transpose(0, 2, 1)
-    return dict(zip(rays.tolist(), zip(inv_t, basis)))
+def _ray_level(b: np.ndarray, q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_chamber_level for the nodes (nodes, m, r) of rank r, 2 <= r < m,
+    whose rows q (nodes, r, dim) map back: the rays of every node, their
+    candidate points in blocks of about _DEDUP_BLOCK, each node's first
+    point of each sign row, and those points mapped by q."""
+    g, m, r = b.shape
+    tol = _ON_HYPERPLANE_TOL
+    _, ssv, svt = np.linalg.svd(b[:, _combinations(m, r - 1)])
+    null = svt[..., -1, :]  # null directions of the (r - 1)-subsets
+    node, sub = np.nonzero(ssv[..., -1] > tol)  # the independent subsets
+    through = (np.abs(null @ b.transpose(0, 2, 1)) <= tol)[node, sub]
+    first = _first_rows(_sign_keys(node, through, g))
+    node, rays, on = node[first], null[node[first], sub[first]], through[first]
+    # a ray on c hyperplanes gives at most twice as many candidates as c
+    # generic hyperplanes of rank r - 1 have chambers
+    width, inverse = np.unique(on.sum(axis=1), return_inverse=True)
+    cost = np.array([2 * feasible_sign_bound(c, r - 1) for c in width.tolist()])[inverse]
+    block = (np.cumsum(cost) - cost) // _DEDUP_BLOCK
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(rays)]
+    kept = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        owner, sign, points = _ray_candidates(b, node[lo:hi], rays[lo:hi], on[lo:hi])
+        kept = [_first_points(*kept, (owner, _sign_keys(owner, sign, g), points))]
+    owner, _, points = kept[0]
+    count = np.bincount(owner, minlength=g)
+    start = np.cumsum(count) - count
+    groups = []
+    for p in np.unique(count).tolist():
+        ids = np.flatnonzero(count == p)
+        groups.append((ids, points[start[ids, None] + np.arange(p)] @ q[ids]))
+    return groups
+
+
+def _ray_candidates(b: np.ndarray, node: np.ndarray, rays: np.ndarray, on: np.ndarray):
+    """(owner node, sign row, point) of the candidates of the given rays,
+    rows in ray order: for a ray v with local chamber points w (unit rows)
+    and step s, the points v + s w, then -v + s w.  Rays are stacked by
+    their count of hyperplanes and of local points, so every product has
+    the shape it has for one ray."""
+    m, r = b.shape[1:]
+    width = on.sum(axis=1)
+    ray_of, points, signs = [], [], []
+    for c in np.unique(width).tolist():
+        sel = np.flatnonzero(width == c)
+        owner = node[sel, None]
+        local = b[owner, np.nonzero(on[sel])[1].reshape(len(sel), c)]
+        off = b[owner, np.nonzero(~on[sel])[1].reshape(len(sel), m - c)]
+        step = 0.5 * np.abs(off @ rays[sel, :, None]).min(axis=(1, 2))
+        for k, w in _chamber_level(local):
+            w = w / np.linalg.norm(w, axis=2, keepdims=True)
+            w *= step[k, None, None]
+            v, p = rays[sel[k], None], w.shape[1]
+            y = np.empty((len(k), 2 * p, r))
+            np.add(w, v, out=y[:, :p])
+            np.subtract(w, v, out=y[:, p:])  # w - v is -v + w, bit for bit
+            ray_of.append(np.repeat(sel[k], 2 * p))
+            points.append(y.reshape(-1, r))
+            signs.append((y @ b[owner[k, 0]].transpose(0, 2, 1) > 0).reshape(-1, m))
+    if len(points) == 1:
+        return node[ray_of[0]], signs[0], points[0]
+    order = np.argsort(np.concatenate(ray_of), kind="stable")
+    return (node[np.concatenate(ray_of)[order]], np.concatenate(signs)[order],
+            np.concatenate(points)[order])
 
 
 def _orthant_signs(r: int) -> np.ndarray:
@@ -467,21 +528,34 @@ def _orthant_signs(r: int) -> np.ndarray:
 _DEDUP_BLOCK = 1 << 16
 
 
-def _first_points(points: list, signs: list) -> tuple[list, list]:
-    """The points (a list of row blocks, sign rows alike) whose packed sign
-    row occurs first, in their order, as one block."""
-    signs = np.concatenate(signs)
-    first = _first_rows(signs)
-    return [np.concatenate(points)[first]], [signs[first]]
+def _sign_keys(owner: np.ndarray, sign: np.ndarray, nodes: int) -> np.ndarray:
+    """int64 rows that are equal exactly where the rows (owner, sign row)
+    are: the sign bits go 62 to a column, and the owner (below nodes) joins
+    the first column when it fits, so that keys usually sort as integers."""
+    m = sign.shape[1]
+    cols = [sign[:, i:i + 62] @ (1 << np.arange(min(62, m - i), dtype=np.int64))
+            for i in range(0, m, 62)]
+    if m <= 62 and nodes <= 1 << (62 - m):
+        return (owner << m | cols[0])[:, None]
+    return np.column_stack([owner, *cols])
+
+
+def _first_points(*parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of the (owner, key, point) row blocks, in their order, the rows whose
+    key occurs first, as one block."""
+    owner, keys, points = (np.concatenate(x) for x in zip(*parts))
+    first = _first_rows(keys)
+    return owner[first], keys[first], points[first]
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
     """The ascending indices of the first occurrence of each distinct row."""
-    order = np.lexsort(rows.T)  # stable, so equal rows keep their order
+    order = np.argsort(rows[:, 0]) if rows.shape[1] == 1 else np.lexsort(rows.T)
     ordered = rows[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return np.sort(order[new])
+    # an unstable sort leaves equal rows in any order: keep their least index
+    return np.sort(np.minimum.reduceat(order, np.flatnonzero(new)))
 
 
 def _require_closed_form(what: str, found: int, closed_form: int) -> None:
@@ -560,13 +634,14 @@ def enumerate_feasible_rankings(e) -> RankingEnumeration:
     bound = feasible_ordering_bound(n, d)  # rejects n < 1 and d < 1
     check_general_position_rankings(e)
     i, j = np.triu_indices(n, 1)
-    normals = _unit_rows(e[i] - e[j], 1e-9, "ranking enumeration")
+    points = _chamber_points(_unit_rows(e[i] - e[j], 1e-9, "ranking enumeration"))
+    s = points @ e.T
+    order = np.argsort(-s, axis=1)
+    ranked = np.take_along_axis(s, order, axis=1)
+    strict = (ranked[:, :-1] > ranked[:, 1:]).all(axis=1)
     found = {}
-    for h in _chamber_points(normals):
-        s = e @ h
-        order = np.argsort(-s)
-        if (s[order[:-1]] > s[order[1:]]).all():
-            found.setdefault(tuple(order.tolist()), h)
+    for p, h in zip(map(tuple, order[strict].tolist()), points[strict]):
+        found.setdefault(p, h)
     _require_closed_form("ranking enumeration", len(found), bound)
     return RankingEnumeration(n=n, dim=d, rankings=sorted(found), witnesses=found)
 

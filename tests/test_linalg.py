@@ -20,6 +20,16 @@ def test_numerical_rank_trivials():
     assert linalg.numerical_rank(np.zeros((0, 3))) == 0
 
 
+def test_numerical_rank_rejects_non_finite_entries():
+    """A NaN or infinite entry would otherwise end the elimination at once
+    and read as rank 0."""
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            linalg.numerical_rank(m)
+
+
 def test_numerical_rank_tolerance_cut():
     m = np.diag([1.0, 1e-3, 1e-12])
     assert linalg.numerical_rank(m) == 2  # default rel_tol 1e-8

@@ -432,8 +432,27 @@ def test_enumerate_signs_rejects_degenerate_rows():
         enumerate_feasible_signs(np.array([[1.0, 1.0], [-3.0, -3.0]]))
     e = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
                   [0.3, 0.4, 1.0]])
-    with pytest.raises(ValueError, match="dependent"):
+    with pytest.raises(ValueError, match=r"rows \(0, 1, 2\) are numerically dependent"):
         enumerate_feasible_signs(e)  # rows 0, 1, 2 are coplanar
+
+
+def _with_entry(value):
+    e = np.random.default_rng(1).standard_normal((5, 3))
+    e[2, 1] = value
+    return e
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_enumerate_signs_rejects_non_finite_rows(bad):
+    with pytest.raises(ValueError, match="sign enumeration: row 2 is not finite"):
+        enumerate_feasible_signs(_with_entry(bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_enumerate_rankings_rejects_non_finite_rows(bad):
+    """An infinite entry used to surface as dependent difference vectors."""
+    with pytest.raises(ValueError, match="ranking enumeration: row 2 is not finite"):
+        enumerate_feasible_rankings(_with_entry(bad))
 
 
 def test_enumerators_reject_empty_shapes():
@@ -508,7 +527,7 @@ def test_enumerate_rankings_rejects_degenerate():
         enumerate_feasible_rankings(np.array([[1.0, 2.0], [1.0, 2.0]]))
     # equally spaced collinear rows give parallel difference vectors
     e = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(ValueError, match="dependent"):
+    with pytest.raises(ValueError, match=r"\[\(0, 1\), \(0, 2\)\] are numerically dependent"):
         enumerate_feasible_rankings(e)
 
 
@@ -663,10 +682,31 @@ def test_chamber_points_equal_the_per_point_dedup(monkeypatch, block):
     cases.append(e[i] - e[j])
     cases.append(np.array([v for v in itertools.product((-1, 0, 1), repeat=3)
                            if v > (0, 0, 0)], dtype=float))
+    # four levels deep: rank-3 local arrangements that recurse into triangles
+    e = rng.standard_normal((6, 4))
+    cases.append(e[i] - e[j])
     for a in cases:
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         got, want = theory._chamber_points(a), _dict_chamber_points(a)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [5, 70])
+def test_sign_keys_dedup_like_the_rows(m):
+    """Keys folded into one integer and keys kept as columns (too many
+    owners or sign bits to fold) pick the same first rows as the rows."""
+    rng = np.random.default_rng(m)
+    owner = rng.integers(0, 3, 400)
+    sign = rng.random((400, m)) < 0.5
+    sign[:, 3:] = sign[0, 3:]  # few distinct rows, so duplicates occur
+    rows = {}
+    for i, row in enumerate(zip(owner.tolist(), map(bytes, sign))):
+        rows.setdefault(row, i)
+    want = sorted(rows.values())
+    for nodes in (3, 1 << 62):
+        keys = theory._sign_keys(owner, sign, nodes)
+        assert keys.shape[1] == (1 if m == 5 and nodes == 3 else 1 + -(-m // 62))
+        assert theory._first_rows(keys).tolist() == want
 
 
 def test_enumerations_raise_below_the_closed_form(monkeypatch):
@@ -757,6 +797,13 @@ def test_logprob_rank_probe_mixture_exceeds_capacity():
     probe = logprob_rank_probe(lp, dim=d)
     assert probe.rank > probe.capacity
     assert not probe.within_single_softmax
+
+
+def test_logprob_rank_probe_rejects_non_finite_entries():
+    logp = np.log(np.full((8, 4), 0.25))
+    logp[3, 0] = -np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        logprob_rank_probe(logp, dim=2)
 
 
 def test_logprob_rank_probe_needs_rows():
