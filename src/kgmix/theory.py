@@ -511,6 +511,8 @@ def _ray_candidates(b: np.ndarray, node: np.ndarray, rays: np.ndarray, on: np.nd
             ray_of.append(np.repeat(sel[k], 2 * p))
             points.append(y.reshape(-1, r))
             signs.append((y @ b[owner[k, 0]].transpose(0, 2, 1) > 0).reshape(-1, m))
+    # one group (as for generic sign rows) is in ray order already: return
+    # it without the two copies that reordering makes
     if len(points) == 1:
         return node[ray_of[0]], signs[0], points[0]
     order = np.argsort(np.concatenate(ray_of), kind="stable")
@@ -529,15 +531,13 @@ _DEDUP_BLOCK = 1 << 16
 
 
 def _sign_keys(owner: np.ndarray, sign: np.ndarray, nodes: int) -> np.ndarray:
-    """int64 rows that are equal exactly where the rows (owner, sign row)
-    are: the sign bits go 62 to a column, and the owner (below nodes) joins
-    the first column when it fits, so that keys usually sort as integers."""
+    """One int64 per row, equal exactly where the rows (owner, sign row)
+    are: the owner (below nodes) above the m sign bits.  The enumerators'
+    caps keep m <= 21, and every level far below 2^(63 - m) nodes."""
     m = sign.shape[1]
-    cols = [sign[:, i:i + 62] @ (1 << np.arange(min(62, m - i), dtype=np.int64))
-            for i in range(0, m, 62)]
-    if m <= 62 and nodes <= 1 << (62 - m):
-        return (owner << m | cols[0])[:, None]
-    return np.column_stack([owner, *cols])
+    if (nodes - 1).bit_length() + m > 63:
+        raise ValueError(f"{nodes} arrangements of {m} hyperplanes overflow an int64 key")
+    return owner << m | sign @ (1 << np.arange(m, dtype=np.int64))
 
 
 def _first_points(*parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -548,13 +548,14 @@ def _first_points(*parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return owner[first], keys[first], points[first]
 
 
-def _first_rows(rows: np.ndarray) -> np.ndarray:
-    """The ascending indices of the first occurrence of each distinct row."""
-    order = np.argsort(rows[:, 0]) if rows.shape[1] == 1 else np.lexsort(rows.T)
-    ordered = rows[order]
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """The ascending indices of the first occurrence of each distinct key."""
+    order = np.argsort(keys)
+    ordered = keys[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    # an unstable sort leaves equal rows in any order: keep their least index
+    new[1:] = ordered[1:] != ordered[:-1]
+    # faster than a stable sort, but it leaves equal keys in any order: keep
+    # their least index
     return np.sort(np.minimum.reduceat(order, np.flatnonzero(new)))
 
 

@@ -691,22 +691,20 @@ def test_chamber_points_equal_the_per_point_dedup(monkeypatch, block):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m", [5, 70])
-def test_sign_keys_dedup_like_the_rows(m):
-    """Keys folded into one integer and keys kept as columns (too many
-    owners or sign bits to fold) pick the same first rows as the rows."""
-    rng = np.random.default_rng(m)
+def test_sign_keys_dedup_like_the_rows():
+    """One int64 key per (owner, sign row) picks the same first rows as
+    the rows; keys that would not fit an int64 are refused."""
+    rng = np.random.default_rng(5)
     owner = rng.integers(0, 3, 400)
-    sign = rng.random((400, m)) < 0.5
+    sign = rng.random((400, 5)) < 0.5
     sign[:, 3:] = sign[0, 3:]  # few distinct rows, so duplicates occur
     rows = {}
     for i, row in enumerate(zip(owner.tolist(), map(bytes, sign))):
         rows.setdefault(row, i)
-    want = sorted(rows.values())
-    for nodes in (3, 1 << 62):
-        keys = theory._sign_keys(owner, sign, nodes)
-        assert keys.shape[1] == (1 if m == 5 and nodes == 3 else 1 + -(-m // 62))
-        assert theory._first_rows(keys).tolist() == want
+    keys = theory._sign_keys(owner, sign, 3)
+    assert theory._first_rows(keys).tolist() == sorted(rows.values())
+    with pytest.raises(ValueError, match="overflow an int64 key"):
+        theory._sign_keys(owner, sign, (1 << 58) + 1)
 
 
 def test_enumerations_raise_below_the_closed_form(monkeypatch):
