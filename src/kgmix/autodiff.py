@@ -2,15 +2,21 @@
 
 Every operation the models need is a Tape method that appends a Node and
 returns it.  backward() walks the tape once in reverse, accumulating
-adjoints into Parameter.grad.  The op set is deliberately closed: each op
-has a hand-written adjoint, and finite_difference_check certifies all of
-them against central differences.  The training loss is one fused op,
-mixture_xent, and the inference head is numpy (mos.head_log_probs), so no
-(batch x entities) matrix goes on any tape; both call exp_shifted_rows.
+adjoints into Parameter.grad.  The op set is deliberately closed: it holds
+exactly the ops that training (train.batch_loss) and inference
+(models.Scorer) record, each has a hand-written adjoint, and
+finite_difference_check certifies all of them against central
+differences.  Elementwise ops take equal shapes; nothing broadcasts.  The
+training loss is one fused op, mixture_xent, and the inference head is
+numpy (mos.head_log_probs), so no (batch x entities) matrix goes on any
+tape; both call exp_shifted_rows.
 """
 from __future__ import annotations
 
 import numpy as np
+
+# negative-side slope of every leaky-relu, in the encoder and the mixture
+LEAKY_SLOPE = 0.01
 
 
 def _as_value(x) -> np.ndarray:
@@ -100,18 +106,9 @@ class Node:
         return f"Node#{self.idx}({self.op}, shape={self.value.shape})"
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    # reverse numpy broadcasting over the two axes
-    if g.shape == shape:
-        return g
-    out = g
-    if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    if out.shape != shape:
-        raise ValueError(f"cannot reduce grad {g.shape} to {shape}")
-    return out
+def _same_shape(op: str, a: Node, b: Node) -> None:
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"{op} shapes differ: {a.value.shape} and {b.value.shape}")
 
 
 class Tape:
@@ -167,14 +164,6 @@ class Tape:
         value = np.hstack([a.value, b.value])
         return self._record("concat_cols", value, (a, b), {"split": a.value.shape[1]})
 
-    def slice_cols(self, x: Node, start: int, stop: int) -> Node:
-        """Columns start:stop of x.  Kept, with stack_logsumexp, for the
-        tests' unfused mixture reference; no model records it."""
-        if not (0 <= start < stop <= x.value.shape[1]):
-            raise ValueError(f"bad column slice [{start}:{stop}]")
-        value = np.ascontiguousarray(x.value[:, start:stop])
-        return self._record("slice_cols", value, (x,), {"start": start, "stop": stop})
-
     # ---- arithmetic ----
 
     def matmul(self, a: Node, b: Node, transpose_b: bool = False) -> Node:
@@ -187,13 +176,12 @@ class Tape:
         value = a.value @ (b.value.T if transpose_b else b.value)
         return self._record("matmul", value, (a, b), {"transpose_b": transpose_b})
 
-    def add(self, a: Node, b: Node) -> Node:
-        return self._record("add", a.value + b.value, (a, b))
-
     def subtract(self, a: Node, b: Node) -> Node:
+        _same_shape("subtract", a, b)
         return self._record("subtract", a.value - b.value, (a, b))
 
     def hadamard(self, a: Node, b: Node) -> Node:
+        _same_shape("hadamard", a, b)
         return self._record("hadamard", a.value * b.value, (a, b))
 
     def affine(self, x: Node, w: Node, b: Node) -> Node:
@@ -216,9 +204,9 @@ class Tape:
 
     # ---- nonlinearities ----
 
-    def leaky_relu(self, x: Node, slope: float = 0.01) -> Node:
-        value = np.where(x.value > 0, x.value, slope * x.value)
-        return self._record("leaky_relu", value, (x,), {"slope": slope})
+    def leaky_relu(self, x: Node) -> Node:
+        value = np.where(x.value > 0, x.value, LEAKY_SLOPE * x.value)
+        return self._record("leaky_relu", value, (x,))
 
     def dropout(self, x: Node, mask: np.ndarray) -> Node:
         """Multiply by a fixed 0 / (1/(1-p)) mask drawn by the caller."""
@@ -252,20 +240,6 @@ class Tape:
 
     def row_log_softmax(self, x: Node) -> Node:
         return self._record("row_log_softmax", log_softmax_rows(x.value.copy()), (x,))
-
-    def stack_logsumexp(self, xs: list[Node]) -> Node:
-        """Elementwise log(sum_k exp(xs[k])) over same-shaped nodes.  Kept,
-        with slice_cols, for the tests' unfused mixture reference (checked
-        against mixture_xent and mos.head_log_probs); no model records it."""
-        if not xs:
-            raise ValueError("stack_logsumexp needs at least one node")
-        shape = xs[0].value.shape
-        if any(x.value.shape != shape for x in xs):
-            raise ValueError("stack_logsumexp nodes must share a shape")
-        stacked = np.stack([x.value for x in xs])
-        mx = stacked.max(axis=0)
-        value = mx + np.log(np.exp(stacked - mx).sum(axis=0))
-        return self._record("stack_logsumexp", value, tuple(xs))
 
     def row_entropy(self, log_p: Node) -> Node:
         """Entropy -sum_j p_j log p_j of each row, (n, 1), from log p; an
@@ -359,11 +333,11 @@ class Tape:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.shape != (1, 1):
             raise ValueError("backward expects a 1x1 loss node")
-        # An adjoint may alias another node's adjoint (add hands g itself
-        # to both parents, concat_cols hands out views of it), so none is
-        # ever updated in place: the first one a node receives is kept as
-        # it is, later ones are summed into a new array, and each is
-        # dropped once it has been passed on.
+        # An adjoint may alias another node's adjoint (subtract hands g
+        # itself to its first parent, concat_cols hands out views of it),
+        # so none is ever updated in place: the first one a node receives
+        # is kept as it is, later ones are summed into a new array, and
+        # each is dropped once it has been passed on.
         adjoints: list[np.ndarray | None] = [None] * len(self.nodes)
         adjoints[loss.idx] = np.ones((1, 1))
         for node in reversed(self.nodes):
@@ -393,30 +367,15 @@ def _backward_rule(node: Node, g: np.ndarray):
     if op == "concat_cols":
         s = node.ctx["split"]
         return (g[:, :s], g[:, s:])
-    if op == "slice_cols":
-        out = np.zeros_like(a[0].value)
-        out[:, node.ctx["start"] : node.ctx["stop"]] = g
-        return (out,)
     if op == "matmul":
         av, bv = a[0].value, a[1].value
         if node.ctx["transpose_b"]:
             return (g @ bv, g.T @ av)
         return (g @ bv.T, av.T @ g)
-    if op == "add":
-        return (
-            _unbroadcast(g, a[0].value.shape),
-            _unbroadcast(g, a[1].value.shape),
-        )
     if op == "subtract":
-        return (
-            _unbroadcast(g, a[0].value.shape),
-            _unbroadcast(-g, a[1].value.shape),
-        )
+        return (g, -g)
     if op == "hadamard":
-        return (
-            _unbroadcast(g * a[1].value, a[0].value.shape),
-            _unbroadcast(g * a[0].value, a[1].value.shape),
-        )
+        return (g * a[1].value, g * a[0].value)
     if op == "affine":
         xv, wv = a[0].value, a[1].value
         return (g @ wv, g.T @ xv, g.sum(axis=0, keepdims=True))
@@ -428,8 +387,7 @@ def _backward_rule(node: Node, g: np.ndarray):
         dmat = np.einsum("bi,bj->bij", a[0].value, g).reshape(n, d * d)
         return (dvec, dmat)
     if op == "leaky_relu":
-        slope = node.ctx["slope"]
-        return (g * np.where(a[0].value > 0, 1.0, slope),)
+        return (g * np.where(a[0].value > 0, 1.0, LEAKY_SLOPE),)
     if op == "dropout":
         return (g * node.ctx["mask"],)
     if op == "batch_norm":
@@ -455,8 +413,6 @@ def _backward_rule(node: Node, g: np.ndarray):
     if op == "row_log_softmax":
         soft = np.exp(node.value)
         return (g - soft * g.sum(axis=1, keepdims=True),)
-    if op == "stack_logsumexp":
-        return tuple(g * np.exp(x.value - node.value) for x in a)
     if op == "row_entropy":
         p = node.ctx["p"]
         with np.errstate(invalid="ignore"):

@@ -101,7 +101,7 @@ def cmd_train(args) -> int:
         "checkpoint": "checkpoint.kgm",
     }
     if store.valid:
-        scorer = Scorer(result.model, result.mos, slope=config.leaky_slope)
+        scorer = Scorer(result.model, result.mos)
         meta["valid_eval"] = eval_mod.evaluate_model(scorer, store, split="valid")
     with open(os.path.join(args.out, "meta.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")

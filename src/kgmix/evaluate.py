@@ -33,8 +33,8 @@ class EvalReport:
     hits: dict[int, float]
     per_query: list[dict] = field(default_factory=list, repr=False)
 
-    def to_dict(self, include_per_query: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "split": self.split,
             "rank_mode": self.rank_mode,
             "n_queries": self.n_queries,
@@ -42,9 +42,6 @@ class EvalReport:
             "mr": self.mr,
             "hits": {f"hits@{k}": v for k, v in sorted(self.hits.items())},
         }
-        if include_per_query:
-            out["per_query"] = self.per_query
-        return out
 
 
 def ranking_metrics(
@@ -94,18 +91,6 @@ class NllReport:
     n_skipped: int
     mean_nll: float
     per_query: list[dict] = field(default_factory=list, repr=False)
-
-    def to_dict(self, include_per_query: bool = False) -> dict:
-        out = {
-            "split": self.split,
-            "nll_filter": list(self.filter_splits),
-            "n_scored": self.n_scored,
-            "n_skipped": self.n_skipped,
-            "mean_nll": self.mean_nll,
-        }
-        if include_per_query:
-            out["per_query"] = self.per_query
-        return out
 
 
 def filtered_nll(

@@ -36,10 +36,10 @@ def numerical_rank(m, rel_tol: float = 1e-8) -> int:
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0].tolist()
         raise ValueError(f"numerical_rank: entry ({i}, {j}) is not finite")
-    if n == 0 or k == 0:
-        return 0
     if rel_tol < 0:
         raise ValueError("rel_tol must be non-negative")
+    if n == 0 or k == 0:
+        return 0
     pivots = []
     for r in range(min(n, k)):
         sub = np.abs(a[r:, r:])

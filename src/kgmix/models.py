@@ -7,6 +7,7 @@ product H @ E^T, which is what caps the score matrix at rank d.  Encoders:
   distmult   h = e_s * w_r           (elementwise; symmetric scorer)
   rescal     h = e_s @ W_r           (full d x d matrix per relation)
   mlp        h = two leaky-relu affine layers on [e_s ; w_r]
+             (negative slope autodiff.LEAKY_SLOPE)
 
 Checkpoints are a single JSON header line followed by the raw little-endian
 float64 array bytes in header order, so round-trips are bit-exact.
@@ -109,7 +110,6 @@ def encode(
     training: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    slope: float = 0.01,
 ) -> Node:
     """Map a query batch to states H (batch, dim) on the given tape.
 
@@ -132,10 +132,10 @@ def encode(
     else:
         x = tape.concat_cols(subj, rel)
         h1 = tape.leaky_relu(
-            tape.affine(x, tape.param(model.mlp_w1), tape.param(model.mlp_b1)), slope
+            tape.affine(x, tape.param(model.mlp_w1), tape.param(model.mlp_b1))
         )
         h = tape.leaky_relu(
-            tape.affine(h1, tape.param(model.mlp_w2), tape.param(model.mlp_b2)), slope
+            tape.affine(h1, tape.param(model.mlp_w2), tape.param(model.mlp_b2))
         )
     if training and dropout > 0.0:
         h = tape.dropout(h, dropout_mask(h.value.shape, dropout, rng))
@@ -147,32 +147,33 @@ class Scorer:
 
     Only the encoder and mixture_states run on a tape, so it holds no
     (batch, entities) node; both layers share the numpy output head
-    mos.head_log_probs.  scores() returns what rankings should sort on (raw
+    mos.head_log_probs.  It runs the same forward as training, leaky-relu
+    slope included, in inference mode: no dropout, batch norm on its
+    running moments.  scores() returns what rankings should sort on (raw
     H @ E^T for the plain layer, mixture log-probabilities otherwise);
     log_probs() always returns normalized log-probabilities.
     """
 
-    def __init__(self, model: ModelParams, mos=None, slope: float = 0.01):
+    def __init__(self, model: ModelParams, mos=None):
         self.model = model
         self.mos = mos
-        self.slope = slope
 
     def _head(self, h: Node, tape: Tape) -> np.ndarray:
-        log_pi, states = mos_mod.mixture_states(self.mos, h, tape, slope=self.slope)
+        log_pi, states = mos_mod.mixture_states(self.mos, h, tape)
         lp = None if log_pi is None else log_pi.value
         entities = self.model.entities.value
         return mos_mod.head_log_probs([s.value for s in states], entities, lp)
 
     def scores(self, subjects, relations) -> np.ndarray:
         with Tape() as tape:
-            h = encode(self.model, subjects, relations, tape, slope=self.slope)
+            h = encode(self.model, subjects, relations, tape)
             if self.mos is None:
                 return h.value @ self.model.entities.value.T
             return self._head(h, tape)
 
     def log_probs(self, subjects, relations) -> np.ndarray:
         with Tape() as tape:
-            h = encode(self.model, subjects, relations, tape, slope=self.slope)
+            h = encode(self.model, subjects, relations, tape)
             return self._head(h, tape)
 
     def log_probs_from_states(self, states) -> np.ndarray:

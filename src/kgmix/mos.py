@@ -5,11 +5,12 @@ d+1.  The mixture blends K softmaxes, each over a separately projected copy
 of H, with query-dependent priors; for K >= 2 the blend is no longer
 log-linear in H and escapes that rank ceiling.  mixture_states, the one
 forward of both layers, builds the log-priors and the projected states on
-a tape; training feeds them to the fused Tape.mixture_xent loss and the
-prior entropy, and inference feeds their values to head_log_probs.  That
-head mixes the components in probability space,
-p = sum_k pi_k softmax(Z_k) (Yang et al. 2018), under a per-row shift, and
-falls back to log space only for rows whose mixture underflows there.
+a tape, with the one leaky-relu slope autodiff.LEAKY_SLOPE; training feeds
+them to the fused Tape.mixture_xent loss and the prior entropy, and
+inference feeds their values to head_log_probs.  That head mixes the
+components in probability space, p = sum_k pi_k softmax(Z_k) (Yang et al.
+2018), under a per-row shift, and falls back to log space only for rows
+whose mixture underflows there.
 """
 from __future__ import annotations
 
@@ -100,7 +101,6 @@ def project(
     training: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    slope: float = 0.01,
 ) -> Node:
     """Run one component's two projection blocks on H."""
     c = component
@@ -111,7 +111,7 @@ def project(
     ):
         x = tape.affine(x, tape.param(w), tape.param(b))
         x = tape.batch_norm(x, tape.param(gamma), tape.param(beta), bn, training)
-        x = tape.leaky_relu(x, slope)
+        x = tape.leaky_relu(x)
         if training and dropout > 0.0:
             x = tape.dropout(x, dropout_mask(x.value.shape, dropout, rng))
     return x
@@ -124,7 +124,6 @@ def mixture_states(
     training: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    slope: float = 0.01,
 ) -> tuple[Node | None, list[Node]]:
     """The (batch, k) log-priors log pi(H), the only prior node a forward
     records, and each component's projected states f_k(H), projected in
@@ -138,7 +137,7 @@ def mixture_states(
     logits = tape.matmul(h, tape.param(mos.omegas), transpose_b=True)
     log_pi = tape.row_log_softmax(logits)
     states = [
-        project(mos, comp, h, tape, training, dropout, rng, slope)
+        project(mos, comp, h, tape, training, dropout, rng)
         for comp in mos.components
     ]
     return log_pi, states

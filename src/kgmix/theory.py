@@ -66,12 +66,6 @@ class RowSignPoly:
             out *= t - float(r)
         return out
 
-    def eval_exact(self, t) -> Fraction:
-        out = Fraction(self.sigma)
-        for r in self.roots:
-            out *= Fraction(t) - r
-        return out
-
     def integer_coefficients(self, width: int) -> tuple[list[int], int]:
         """Integer coefficients c (low degree first, zero-padded to width)
         and a positive scale with scale * p(t) = sum_k c[k] t^k.
@@ -139,17 +133,6 @@ class SignDecomposition:
     @property
     def width(self) -> int:
         return 2 * self.degree_cap + 1
-
-    def vandermonde(self) -> np.ndarray:
-        """(n_cols, width) grid with v[t-1, j] = t**j for t = 1..n_cols."""
-        t = np.arange(1, self.n_cols + 1, dtype=np.float64)[:, None]
-        j = np.arange(self.width, dtype=np.float64)[None, :]
-        return t**j
-
-    def coefficient_matrix(self) -> np.ndarray:
-        return np.array(
-            [[float(c) for c in row.coefficients(self.width)] for row in self.rows]
-        )
 
     def coefficient_matrix_exact(self) -> list[list[Fraction]]:
         return [row.coefficients(self.width) for row in self.rows]
@@ -303,7 +286,10 @@ def _unit_rows(e: np.ndarray, tol: float, what: str) -> np.ndarray:
     return e / norms[:, None]
 
 
-def _require_finite_rows(e: np.ndarray, what: str) -> None:
+def _require_rows(e: np.ndarray, what: str) -> None:
+    """At least one row, and every row finite."""
+    if e.shape[0] < 1:
+        raise ValueError(f"{what}: needs at least one row")
     bad = ~np.isfinite(e).all(axis=1)
     if bad.any():
         raise ValueError(f"{what}: row {int(np.argmax(bad))} is not finite")
@@ -333,7 +319,7 @@ def check_general_position_signs(e, tol: float = 1e-9) -> None:
     is named."""
     e = linalg.as_matrix(e)
     n, d = e.shape
-    _require_finite_rows(e, "sign enumeration")
+    _require_rows(e, "sign enumeration")
     en = _unit_rows(e, tol, "sign enumeration")
     if d >= 2:
         gram = np.abs(en @ en.T)
@@ -373,7 +359,7 @@ def check_general_position_rankings(e, tol: float = 1e-9) -> None:
     """
     e = linalg.as_matrix(e)
     n, d = e.shape
-    _require_finite_rows(e, "ranking enumeration")
+    _require_rows(e, "ranking enumeration")
     pairs = _combinations(n, 2)
     diffs = e[pairs[:, 0]] - e[pairs[:, 1]]
     if diffs.size == 0:

@@ -12,7 +12,7 @@ a fixed thread count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ class TrainConfig:
     dropout: float = 0.1
     entropy_weight: float = 1e-3
     seed: int = 0
-    leaky_slope: float = 0.01
-    eval_batch_size: int = 512
 
     def resolved_lr(self) -> float:
         if self.lr is not None:
@@ -59,8 +57,8 @@ class TrainConfig:
             raise ValueError("dim and k must be positive")
         if self.lr is not None and self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.batch_size < 1 or self.eval_batch_size < 1:
-            raise ValueError("batch_size and eval_batch_size must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
         if self.epochs < 0 or self.patience < 1:
             raise ValueError("need epochs >= 0 and patience >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -92,11 +90,10 @@ def batch_loss(
     order (H, then each component)."""
     h = encode(
         model, subjects, relations, tape, training=True,
-        dropout=config.dropout, rng=rng, slope=config.leaky_slope,
+        dropout=config.dropout, rng=rng,
     )
     log_pi, states = mixture_states(
         mos, h, tape, training=True, dropout=config.dropout, rng=rng,
-        slope=config.leaky_slope,
     )
     loss = tape.mixture_xent(states, tape.param(model.entities), ptr, cols, log_pi)
     if log_pi is not None and config.entropy_weight > 0:
@@ -165,7 +162,6 @@ class TrainResult:
     mos: MosParams | None
     history: list[EpochRecord]
     best_epoch: int
-    config: TrainConfig = field(repr=False, default=None)
     n_queries: int = 0  # training queries (unique train (s, r) pairs)
 
 
@@ -224,9 +220,8 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
 
         val_mrr = float("nan")
         if has_valid:
-            scorer = Scorer(model, mos_params, slope=config.leaky_slope)
             val_mrr = ranking_metrics(
-                scorer.scores, store, "valid", batch_size=config.eval_batch_size
+                Scorer(model, mos_params).scores, store, "valid"
             ).mrr
         record = EpochRecord(
             epoch=epoch,
@@ -255,5 +250,5 @@ def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainR
         best_epoch = best[1]
     return TrainResult(
         model=model, mos=mos_params, history=history,
-        best_epoch=best_epoch, config=config, n_queries=n_queries,
+        best_epoch=best_epoch, n_queries=n_queries,
     )

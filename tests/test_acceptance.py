@@ -117,7 +117,6 @@ def _op_cases():
     w43 = rng.standard_normal((4, 3))
     w45 = rng.standard_normal((4, 5))
     w46 = rng.standard_normal((4, 6))
-    w42 = rng.standard_normal((4, 2))
     w41 = rng.standard_normal((4, 1))
 
     a = Parameter("a", rng.standard_normal((4, 3)))
@@ -136,10 +135,7 @@ def _op_cases():
     yield "matmul_transpose", [a, bt], build_matmul_t, False
 
     x = Parameter("x", rng.standard_normal((4, 3)))
-    y = Parameter("y", rng.standard_normal((1, 3)))  # broadcast across rows
-
-    def build_add(t):
-        return _weighted(t, t.add(t.param(x), t.param(y)), w43)
+    y = Parameter("y", rng.standard_normal((4, 3)))
 
     def build_subtract(t):
         return _weighted(t, t.subtract(t.param(x), t.param(y)), w43)
@@ -147,7 +143,6 @@ def _op_cases():
     def build_hadamard(t):
         return _weighted(t, t.hadamard(t.param(x), t.param(y)), w43)
 
-    yield "add", [x, y], build_add, False
     yield "subtract", [x, y], build_subtract, False
     yield "hadamard", [x, y], build_hadamard, False
 
@@ -170,11 +165,10 @@ def _op_cases():
     c1 = Parameter("c1", rng.standard_normal((4, 2)))
     c2 = Parameter("c2", rng.standard_normal((4, 3)))
 
-    def build_concat_slice(t):
-        joined = t.concat_cols(t.param(c1), t.param(c2))
-        return _weighted(t, t.slice_cols(joined, 1, 3), w42)
+    def build_concat(t):
+        return _weighted(t, t.concat_cols(t.param(c1), t.param(c2)), w45)
 
-    yield "concat_cols/slice_cols", [c1, c2], build_concat_slice, False
+    yield "concat_cols", [c1, c2], build_concat, False
 
     v = Parameter("v", rng.standard_normal((4, 3)))
     mats = Parameter("mats", rng.standard_normal((4, 9)))
@@ -187,7 +181,7 @@ def _op_cases():
     lx = Parameter("lx", rng.standard_normal((4, 3)) + 0.2)
 
     def build_leaky_relu(t):
-        return _weighted(t, t.leaky_relu(t.param(lx), 0.01), w43)
+        return _weighted(t, t.leaky_relu(t.param(lx)), w43)
 
     yield "leaky_relu", [lx], build_leaky_relu, False
 
@@ -224,14 +218,6 @@ def _op_cases():
         return _weighted(t, t.row_log_softmax(t.param(sm)), w46)
 
     yield "row_log_softmax", [sm], build_row_log_softmax, False
-
-    s1 = Parameter("s1", rng.standard_normal((4, 3)))
-    s2 = Parameter("s2", rng.standard_normal((4, 3)))
-
-    def build_stack_lse(t):
-        return _weighted(t, t.stack_logsumexp([t.param(s1), t.param(s2)]), w43)
-
-    yield "stack_logsumexp", [s1, s2], build_stack_lse, False
 
     raw = rng.random((4, 5)) + 0.1
     pe = Parameter("pe", np.log(raw / raw.sum(axis=1, keepdims=True)))
@@ -324,6 +310,50 @@ def test_every_backward_rule_has_a_finite_difference_case():
         covered |= {node.op for node in tape.nodes}
     assert "mixture_xent" in rule_ops and "matmul" in rule_ops
     assert rule_ops <= covered, f"ops without a case: {sorted(rule_ops - covered)}"
+
+
+def test_training_and_inference_record_exactly_the_tape_ops(monkeypatch):
+    """The op set is closed: the six training losses (batch_loss, with
+    dropout and the prior entropy on) and Scorer.log_probs_from_states for
+    both output layers record every public Tape op and no other, and
+    backward runs on each of their tapes.  An op that only tests record
+    fails here."""
+    public = {
+        name for name, fn in vars(Tape).items()
+        if callable(fn) and not name.startswith("_") and name != "backward"
+    }
+    recorded = set()
+    for encoder in ("distmult", "rescal", "mlp"):
+        for output_layer in ("softmax", "mos"):
+            build, params = _full_loss_case(encoder, output_layer, seed=11)
+            for p in params:
+                p.zero_grad()
+            tape = Tape()
+            tape.backward(build(tape))
+            assert all(np.isfinite(p.grad).all() for p in params)
+            recorded |= {node.op for node in tape.nodes}
+
+    kept = []
+
+    class KeptTape(Tape):
+        def __exit__(self, *exc):
+            kept.append(self)
+
+    monkeypatch.setattr(models, "Tape", KeptTape)
+    rng = np.random.default_rng(12)
+    model = init_model("distmult", 7, 3, 3, seed=12, rng=rng)
+    for mix in (None, init_mos(3, 3, rng)):
+        Scorer(model, mix).log_probs_from_states(rng.standard_normal((5, 3)))
+    assert len(kept) == 2
+    for tape in kept:
+        recorded |= {node.op for node in tape.nodes}
+        consumed = {id(p) for node in tape.nodes for p in node.parents}
+        for node in [n for n in tape.nodes if id(n) not in consumed]:
+            tape.backward(tape.weighted_sum(node))
+    assert recorded == public, (
+        f"never recorded: {sorted(public - recorded)}, "
+        f"not Tape methods: {sorted(recorded - public)}"
+    )
 
 
 @pytest.mark.parametrize("with_mos", [False, True])

@@ -158,6 +158,30 @@ def test_eval_matches_in_process(toy_dir, tmp_path, monkeypatch):
     assert report["nll_filter"] == ["train"]
 
 
+@pytest.mark.parametrize("encoder,output_layer", [("mlp", "softmax"), ("distmult", "mos")])
+def test_eval_of_a_fresh_checkpoint_equals_its_training_valid_eval(
+    toy_dir, tmp_path, encoder, output_layer
+):
+    """Training and evaluation run the same forward, leaky-relu slope
+    included: kgmix eval on the valid split reproduces, exactly, the
+    valid_eval that training wrote to meta.json."""
+    out_dir = tmp_path / "run"
+    rc, _ = run_cli([
+        "train", "--dataset", toy_dir, "--out", out_dir, "--encoder", encoder,
+        "--output-layer", output_layer, "--k", "2", "--dim", "3", "--lr", "0.05",
+        "--batch", "8", "--epochs", "3", "--dropout", "0.1", "--quiet",
+    ])
+    assert rc == 0
+    want = json.loads((out_dir / "meta.json").read_text())["valid_eval"]
+    got = run_json([
+        "eval", "--checkpoint", out_dir / "checkpoint.kgm", "--dataset",
+        toy_dir, "--split", "valid",
+    ])
+    assert np.isfinite(want["mean_filtered_nll"])
+    for key in ("mrr", "mr", "hits", "mean_filtered_nll", "n_queries"):
+        assert got[key] == want[key], key
+
+
 def test_eval_per_query_and_modes(toy_dir, tmp_path):
     out_dir = tmp_path / "run"
     assert _train(toy_dir, out_dir)[0] == 0

@@ -30,6 +30,12 @@ def test_numerical_rank_rejects_non_finite_entries():
             linalg.numerical_rank(m)
 
 
+def test_numerical_rank_checks_rel_tol_on_empty_matrices():
+    for m in (np.zeros((0, 3)), np.zeros((3, 0)), np.eye(2)):
+        with pytest.raises(ValueError, match="rel_tol"):
+            linalg.numerical_rank(m, rel_tol=-1)
+
+
 def test_numerical_rank_tolerance_cut():
     m = np.diag([1.0, 1e-3, 1e-12])
     assert linalg.numerical_rank(m) == 2  # default rel_tol 1e-8

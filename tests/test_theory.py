@@ -88,22 +88,15 @@ def test_sign_decompose_row_degree_never_exceeds_2c():
     assert dec.width == 2 * c + 1
 
 
-def test_vandermonde_grid():
-    adj = np.array([[1, 0, 0]])
-    dec = sign_decompose(adj)
-    v = dec.vandermonde()
-    assert v.shape == (3, dec.width)
-    for t in range(1, 4):
-        for j in range(dec.width):
-            assert v[t - 1, j] == t**j
-
-
 def test_coefficient_matrix_reproduces_factored_values():
-    """X @ V^T must equal the factored evaluations, so the decomposition
-    really is a rank-(2c+1) factorization of the sign pattern."""
+    """X @ V^T, with V the grid v[t - 1, j] = t**j, must equal the factored
+    evaluations, so the decomposition really is a rank-(2c+1)
+    factorization of the sign pattern."""
     adj = np.array([[0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0]])
     dec = sign_decompose(adj)
-    z = dec.coefficient_matrix() @ dec.vandermonde().T
+    x = np.array(dec.coefficient_matrix_exact(), dtype=np.float64)
+    v = np.arange(1.0, 5.0)[:, None] ** np.arange(dec.width)
+    z = x @ v.T
     for i, row in enumerate(dec.rows):
         want = [row.eval_float(t) for t in range(1, 5)]
         assert z[i] == pytest.approx(want, abs=1e-9)
@@ -117,8 +110,8 @@ def test_row_poly_coefficients_closed_form():
     assert poly.coefficients(5)[3:] == [Fraction(0), Fraction(0)]
     with pytest.raises(ValueError, match="width"):
         poly.coefficients(2)
-    # p(1) = -(1/2)(-1/2) = 1/4
-    assert poly.eval_exact(Fraction(1)) == Fraction(1, 4)
+    # p(1) = -(1/2)(-1/2) = 1/4, the sum of the coefficients
+    assert sum(poly.coefficients(3)) == Fraction(1, 4)
     assert poly.eval_float(1.0) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -272,7 +265,9 @@ def test_integer_coefficients_with_mixed_denominators():
     assert poly.coefficients(6) == _loop_coefficients(poly, 6)
     for t in range(-3, 8):
         value = sum(c * t**k for k, c in enumerate(coeffs))
-        assert Fraction(value, scale) == poly.eval_exact(t)
+        assert Fraction(value, scale) == poly.sigma * math.prod(
+            Fraction(t) - r for r in poly.roots
+        )
     dec = theory.SignDecomposition(
         n_rows=1, n_cols=6, degree_cap=2, epsilon=Fraction(1, 2), rows=[poly]
     )
@@ -286,8 +281,6 @@ def test_degree_above_width_still_raises():
     dec.rows[0].roots += [Fraction(7, 2), Fraction(9, 2)]  # degree 4, width 3
     with pytest.raises(ValueError, match="width"):
         dec.coefficient_matrix_exact()
-    with pytest.raises(ValueError, match="width"):
-        dec.coefficient_matrix()
     with pytest.raises(ValueError, match="width"):
         verify_sign_decomposition(adj, dec, rational=True)
     # the float pass alone needs no dense form
@@ -473,6 +466,11 @@ def test_check_general_position_signs_accepts_generic():
     check_general_position_signs(rng.standard_normal((8, 3)))
 
 
+def test_check_general_position_signs_rejects_zero_rows():
+    with pytest.raises(ValueError, match="sign enumeration: needs at least one row"):
+        check_general_position_signs(np.zeros((0, 3)))
+
+
 # ---- ranking enumeration ----
 
 
@@ -542,6 +540,11 @@ def test_enumerate_rankings_caps():
 def test_check_general_position_rankings_accepts_generic():
     rng = np.random.default_rng(8)
     check_general_position_rankings(rng.standard_normal((5, 3)))
+
+
+def test_check_general_position_rankings_rejects_zero_rows():
+    with pytest.raises(ValueError, match="ranking enumeration: needs at least one row"):
+        check_general_position_rankings(np.zeros((0, 3)))
 
 
 def test_counts_equal_closed_forms_on_random_instances():

@@ -179,8 +179,7 @@ def test_config_validation_and_lr_defaults():
         dict(k=0),
         dict(lr=-1.0),
         dict(batch_size=0),
-        dict(eval_batch_size=0),
-        dict(eval_batch_size=-1),
+        dict(batch_size=-1),
         dict(epochs=-1),
         dict(patience=0),
         dict(dropout=1.0),
@@ -339,10 +338,10 @@ def test_entropy_regularizer_raises_prior_entropy(toy_store, seed):
     assert entropies[2.0] <= np.log(3.0) + 1e-9  # can never beat uniform
 
 
-def test_train_rejects_eval_batch_below_one_before_training(toy_store, monkeypatch):
+def test_train_rejects_batch_below_one_before_training(toy_store, monkeypatch):
     monkeypatch.setattr(train_mod, "batch_loss", None)  # any batch would fail
-    with pytest.raises(ValueError, match="eval_batch_size"):
-        train_loop(toy_store, TrainConfig(dim=2, epochs=1, eval_batch_size=0))
+    with pytest.raises(ValueError, match="batch_size"):
+        train_loop(toy_store, TrainConfig(dim=2, epochs=1, batch_size=0))
 
 
 def test_train_requires_triples():
