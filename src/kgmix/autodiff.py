@@ -166,15 +166,11 @@ class Tape:
 
     # ---- arithmetic ----
 
-    def matmul(self, a: Node, b: Node, transpose_b: bool = False) -> Node:
-        inner = b.value.shape[1] if transpose_b else b.value.shape[0]
-        if a.value.shape[1] != inner:
-            raise ValueError(
-                f"matmul shapes disagree: {a.value.shape} x {b.value.shape}"
-                f"{'^T' if transpose_b else ''}"
-            )
-        value = a.value @ (b.value.T if transpose_b else b.value)
-        return self._record("matmul", value, (a, b), {"transpose_b": transpose_b})
+    def matmul(self, a: Node, b: Node) -> Node:
+        """a @ b.T: rows of a against rows of b."""
+        if a.value.shape[1] != b.value.shape[1]:
+            raise ValueError(f"matmul shapes disagree: {a.value.shape} x {b.value.shape}^T")
+        return self._record("matmul", a.value @ b.value.T, (a, b))
 
     def subtract(self, a: Node, b: Node) -> Node:
         _same_shape("subtract", a, b)
@@ -368,10 +364,7 @@ def _backward_rule(node: Node, g: np.ndarray):
         s = node.ctx["split"]
         return (g[:, :s], g[:, s:])
     if op == "matmul":
-        av, bv = a[0].value, a[1].value
-        if node.ctx["transpose_b"]:
-            return (g @ bv, g.T @ av)
-        return (g @ bv.T, av.T @ g)
+        return (g @ a[1].value, g.T @ a[0].value)
     if op == "subtract":
         return (g, -g)
     if op == "hadamard":

@@ -1,6 +1,7 @@
 """Command-line front end: stats, train, eval, and analysis subcommands.
 
-All structured output is JSON (stdout by default, --out to write a file).
+All structured output is strict JSON, with NaN and infinities written as
+null (stdout by default, --out to write a file).
 Setting KGMIX_NUM_THREADS caps the BLAS thread pools, which is also what
 makes runs bitwise reproducible across machines with the same core count.
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,8 +26,22 @@ from .mos import init_mos
 from .train import TrainConfig, train_loop
 
 
+def _finite(obj):
+    """obj with every NaN or infinite float, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _json(obj, indent: int | None = None) -> str:
+    """Strict JSON text with sorted keys: NaN and infinities become null."""
+    return json.dumps(_finite(obj), indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _emit(obj: dict, out: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = _json(obj, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -68,7 +84,7 @@ def cmd_train(args) -> int:
     history_fh = open(history_path, "w", encoding="utf-8")
 
     def progress(rec):
-        history_fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        history_fh.write(_json(rec.to_dict()) + "\n")
         history_fh.flush()
         if not args.quiet:
             print(
@@ -103,8 +119,7 @@ def cmd_train(args) -> int:
     if store.valid:
         scorer = Scorer(result.model, result.mos)
         meta["valid_eval"] = eval_mod.evaluate_model(scorer, store, split="valid")
-    with open(os.path.join(args.out, "meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _emit(meta, os.path.join(args.out, "meta.json"))
     if not args.quiet:
         print(f"wrote {ckpt_path} (best epoch {result.best_epoch})")
     return 0
@@ -145,29 +160,21 @@ def cmd_eval(args) -> int:
             f"{model.n_relations} relations, dataset has {store.n_entities} / "
             f"{store.n_relations}"
         )
-    triples = store.split(args.split)
     candidates = None
     if args.candidates:
-        candidates = _read_candidates(args.candidates, store, len(triples))
+        candidates = _read_candidates(args.candidates, store, len(store.split(args.split)))
     nll_filter = ("train",) if args.nll_filter == "train" else ("train", "valid")
 
-    scorer = Scorer(model, mos_params)
-    ranks = eval_mod.ranking_metrics(
-        scorer.scores, store, args.split, args.rank_mode, candidates
+    report = eval_mod.evaluate_model(
+        Scorer(model, mos_params), store, args.split, args.rank_mode, candidates,
+        nll_filter, per_query=bool(args.per_query),
     )
-    nll = eval_mod.filtered_nll(scorer.scores, store, args.split, nll_filter)
-    report = eval_mod.summarize(ranks, nll)
+    rows = report.pop("per_query", [])
     report["checkpoint"] = args.checkpoint
     _emit(report, args.out)
     if args.per_query:
         with open(args.per_query, "w", encoding="utf-8") as fh:
-            for rq, nq in zip(ranks.per_query, nll.per_query):
-                row = dict(rq)
-                if "nll" in nq:
-                    row["nll"] = nq["nll"]
-                else:
-                    row["nll_skipped"] = True
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.writelines(_json(row) + "\n" for row in rows)
     return 0
 
 
@@ -241,6 +248,10 @@ def _dataset_adjacency(path: str):
 
 
 def cmd_decompose(args) -> int:
+    try:
+        epsilon = Fraction(args.epsilon)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {args.epsilon} has a zero denominator") from None
     if args.dataset:
         adj = _dataset_adjacency(args.dataset)
     else:
@@ -248,9 +259,7 @@ def cmd_decompose(args) -> int:
             raise ValueError("need --dataset, or --rows/--cols/--max-degree")
         rng = np.random.default_rng(args.seed)
         adj = theory.random_adjacency(args.rows, args.cols, args.max_degree, rng)
-    dec = theory.sign_decompose(
-        adj, epsilon=Fraction(args.epsilon), merge_blocks=not args.no_merge
-    )
+    dec = theory.sign_decompose(adj, epsilon=epsilon, merge_blocks=not args.no_merge)
     check = theory.verify_sign_decomposition(adj, dec)
     _emit(
         {

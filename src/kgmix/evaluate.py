@@ -1,10 +1,13 @@
 """Filtered ranking metrics and filtered negative log-likelihood.
 
 Ranks follow the filtered protocol: every other true object of the same
-(subject, relation) query is removed from the candidate pool before the
-true object's rank is taken.  The optimistic rank counts strictly greater
-scores; the pessimistic rank also counts ties, so a constant score row
-yields rank 1 versus rank |pool|.
+(subject, relation) query in the train, valid or test split is removed
+from the candidate pool before the true object's rank is taken.  The
+optimistic rank counts strictly greater scores; the pessimistic rank also
+counts ties, so a constant score row yields rank 1 versus rank |pool|.
+
+evaluate_model alone joins both reports into one summary dict, with
+per-query rows on request; `kgmix eval` and training's valid_eval call it.
 
 Both metrics come from one batch kernel, _filtered_pass, which costs the
 scores plus work proportional to the filter and pool entries: filters come
@@ -18,9 +21,10 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import TripleStore, filter_rows, sorted_unique, triple_array
+from .graph import SPLITS, TripleStore, filter_rows, sorted_unique, triple_array
 
 HITS_AT = (1, 3, 10)
+BATCH_SIZE = 512  # score rows per kernel batch
 
 
 @dataclass
@@ -33,16 +37,6 @@ class EvalReport:
     hits: dict[int, float]
     per_query: list[dict] = field(default_factory=list, repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "rank_mode": self.rank_mode,
-            "n_queries": self.n_queries,
-            "mrr": self.mrr,
-            "mr": self.mr,
-            "hits": {f"hits@{k}": v for k, v in sorted(self.hits.items())},
-        }
-
 
 def ranking_metrics(
     score_fn,
@@ -50,8 +44,6 @@ def ranking_metrics(
     split: str = "test",
     rank_mode: str = "optimistic",
     candidates: list[list[int]] | None = None,
-    filter_splits=("train", "valid", "test"),
-    batch_size: int = 512,
 ) -> EvalReport:
     """Filtered ranking over one split.
 
@@ -63,9 +55,7 @@ def ranking_metrics(
     """
     if rank_mode not in ("optimistic", "pessimistic"):
         raise ValueError(f"unknown rank mode {rank_mode!r}")
-    ranks, _ = _filtered_pass(
-        score_fn, store, split, filter_splits, batch_size, rank_mode, candidates
-    )
+    ranks, _ = _filtered_pass(score_fn, store, split, SPLITS, rank_mode, candidates)
     triples = store.split(split)
     per_query = [
         {"s": s, "r": r, "o": o, "rank": k}
@@ -98,7 +88,6 @@ def filtered_nll(
     store: TripleStore,
     split: str = "test",
     filter_splits=("train",),
-    batch_size: int = 512,
 ) -> NllReport:
     """Mean negative log-probability of true objects after renormalizing
     each row over the entities not already known true in filter_splits.
@@ -108,7 +97,7 @@ def filtered_nll(
     whose true object is itself excluded by the filter is skipped and
     counted, not scored.
     """
-    nll, skipped = _filtered_pass(logp_fn, store, split, filter_splits, batch_size)
+    nll, skipped = _filtered_pass(logp_fn, store, split, filter_splits)
     rows = zip(store.split(split), nll.tolist(), skipped.tolist())
     per_query = [
         {"s": s, "r": r, "o": o, "skipped": True} if skip
@@ -126,16 +115,6 @@ def filtered_nll(
     )
 
 
-def summarize(ranks: EvalReport, nll: NllReport) -> dict:
-    """One dict with a ranking report's metrics and an NLL report's mean."""
-    return {
-        **ranks.to_dict(),
-        "mean_filtered_nll": nll.mean_nll,
-        "nll_filter": list(nll.filter_splits),
-        "nll_skipped": nll.n_skipped,
-    }
-
-
 def evaluate_model(
     scorer,
     store: TripleStore,
@@ -143,21 +122,36 @@ def evaluate_model(
     rank_mode: str = "optimistic",
     candidates: list[list[int]] | None = None,
     nll_filter_splits=("train",),
-    batch_size: int = 512,
+    per_query: bool = False,
 ) -> dict:
     """Ranking metrics plus filtered NLL for one scorer, as one dict.
 
-    Both passes read scorer.scores: filtered_nll renormalizes each row, so
-    the scores, which are log-probabilities plus a per-row constant, give
-    the NLL of scorer.log_probs up to rounding in the last digits.
+    Calls ranking_metrics, then filtered_nll, once each.  Both passes read
+    scorer.scores: filtered_nll renormalizes each row, so the scores, which
+    are log-probabilities plus a per-row constant, give the NLL of
+    scorer.log_probs up to rounding in the last digits.  With per_query,
+    the dict also holds one row per triple: s, r, o, rank, and nll, or
+    nll_skipped where the NLL filter holds the true object.
     """
-    ranks = ranking_metrics(
-        scorer.scores, store, split, rank_mode, candidates, batch_size=batch_size
-    )
-    nll = filtered_nll(
-        scorer.scores, store, split, nll_filter_splits, batch_size=batch_size
-    )
-    return summarize(ranks, nll)
+    ranks = ranking_metrics(scorer.scores, store, split, rank_mode, candidates)
+    nll = filtered_nll(scorer.scores, store, split, nll_filter_splits)
+    out = {
+        "split": split,
+        "rank_mode": rank_mode,
+        "n_queries": ranks.n_queries,
+        "mrr": ranks.mrr,
+        "mr": ranks.mr,
+        "hits": {f"hits@{k}": v for k, v in sorted(ranks.hits.items())},
+        "mean_filtered_nll": nll.mean_nll,
+        "nll_filter": list(nll.filter_splits),
+        "nll_skipped": nll.n_skipped,
+    }
+    if per_query:
+        out["per_query"] = [
+            {**rq, "nll": nq["nll"]} if "nll" in nq else {**rq, "nll_skipped": True}
+            for rq, nq in zip(ranks.per_query, nll.per_query)
+        ]
+    return out
 
 
 def _candidate_rows(candidates, n_triples: int, n_entities: int):
@@ -171,16 +165,15 @@ def _candidate_rows(candidates, n_triples: int, n_entities: int):
     return ptr, cols
 
 
-def _filtered_pass(fn, store, split, filter_splits, batch_size,
-                   rank_mode=None, candidates=None):
+def _filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=None):
     """Per triple of the split: the true object's rank (with a rank_mode)
     or negative log-probability (without) among the entities its row keeps,
     and whether the filter holds the true object itself.
 
     fn(subjects, relations) gives one (batch, n_entities) row per triple,
-    never written to.  A row keeps the true object and every entity that is
-    neither a true object in filter_splits nor outside the triple's pool;
-    pools apply to ranks only.
+    BATCH_SIZE triples at a time, and is never written to.  A row keeps the
+    true object and every entity that is neither a true object in
+    filter_splits nor outside the triple's pool; pools apply to ranks only.
     The filter and the pools are applied as sparse corrections: a full rank
     counts the whole row and takes off the filtered entries that beat the
     true object, a pool rank counts only the pool's kept entries, and the
@@ -188,8 +181,6 @@ def _filtered_pass(fn, store, split, filter_splits, batch_size,
     """
     if candidates is not None and not rank_mode:
         raise ValueError("candidate pools need a rank_mode")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     triples = store.split(split)
     if not triples:
         raise ValueError(f"split {split!r} is empty")
@@ -210,13 +201,13 @@ def _filtered_pass(fn, store, split, filter_splits, batch_size,
         rows, cols = np.divmod(pool[~filtered], n_ent)
         kept = cols != objs[rows]
         rows, cols = rows[kept], cols[kept]
-    bounds = np.searchsorted(rows, np.append(np.arange(0, n, batch_size), n))
+    bounds = np.searchsorted(rows, np.append(np.arange(0, n, BATCH_SIZE), n))
 
-    width = min(batch_size, n)
+    width = min(BATCH_SIZE, n)
     work = np.empty((width, n_ent), dtype=bool if rank_mode else np.float64)
     values = np.empty(n, dtype=np.int64 if rank_mode else np.float64)
-    for b, start in enumerate(range(0, n, batch_size)):
-        stop = min(start + batch_size, n)
+    for b, start in enumerate(range(0, n, BATCH_SIZE)):
+        stop = min(start + BATCH_SIZE, n)
         m = stop - start
         z = np.asarray(fn(subs[start:stop], rels[start:stop]), dtype=np.float64)
         if z.shape != (m, n_ent):

@@ -134,7 +134,7 @@ def mixture_states(
     """
     if mos is None:
         return None, [h]
-    logits = tape.matmul(h, tape.param(mos.omegas), transpose_b=True)
+    logits = tape.matmul(h, tape.param(mos.omegas))
     log_pi = tape.row_log_softmax(logits)
     states = [
         project(mos, comp, h, tape, training, dropout, rng)

@@ -120,7 +120,7 @@ def _op_cases():
     w41 = rng.standard_normal((4, 1))
 
     a = Parameter("a", rng.standard_normal((4, 3)))
-    b = Parameter("b", rng.standard_normal((3, 5)))
+    b = Parameter("b", rng.standard_normal((3, 5)).T.copy())  # passed transposed
 
     def build_matmul(t):
         return _weighted(t, t.matmul(t.param(a), t.param(b)), w45)
@@ -130,7 +130,7 @@ def _op_cases():
     bt = Parameter("bt", rng.standard_normal((5, 3)))
 
     def build_matmul_t(t):
-        return _weighted(t, t.matmul(t.param(a), t.param(bt), transpose_b=True), w45)
+        return _weighted(t, t.matmul(t.param(a), t.param(bt)), w45)
 
     yield "matmul_transpose", [a, bt], build_matmul_t, False
 

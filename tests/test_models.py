@@ -166,7 +166,7 @@ def test_scorer_softmax_is_bitwise_the_tape_composition(encoder):
     m = init_model(encoder, 9, 3, 4, seed=6)
     subs, rels = np.array([0, 3, 5, 8, 2]), np.array([0, 1, 2, 1, 0])
     t = Tape()
-    z = t.matmul(encode(m, subs, rels, t), t.param(m.entities), transpose_b=True)
+    z = t.matmul(encode(m, subs, rels, t), t.param(m.entities))
     s = Scorer(m)
     assert np.array_equal(s.scores(subs, rels), z.value)
     assert np.array_equal(s.log_probs(subs, rels), t.row_log_softmax(z).value)
