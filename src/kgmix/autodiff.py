@@ -9,7 +9,11 @@ finite_difference_check certifies all of them against central
 differences.  Elementwise ops take equal shapes; nothing broadcasts.  The
 training loss is one fused op, mixture_xent, and the inference head is
 numpy (mos.head_log_probs), so no (batch x entities) matrix goes on any
-tape; both call exp_shifted_rows.
+tape; both call exp_shifted_rows.  mixture_xent forms its gradients in its
+forward pass, in one (k, batch, entities) buffer that is freed when the
+forward returns, and a tape's exit cuts every node from its graph, so a
+training batch holds at most one set of score blocks, and nothing of it
+outlives the batch but the loss value.
 """
 from __future__ import annotations
 
@@ -114,9 +118,10 @@ def _same_shape(op: str, a: Node, b: Node) -> None:
 class Tape:
     """Records a forward pass; replays it in reverse for gradients.
 
-    As a context manager it drops its nodes on exit, so a node kept past
-    the block (train_loop keeps each batch's loss) does not keep alive, by
-    its parents, every node and array it was computed from.
+    As a context manager it drops its nodes on exit and empties each
+    node's parents and ctx, so a node kept past the block (train_loop
+    keeps each batch's loss) holds only its value, not the nodes and
+    arrays it was computed from.
     """
 
     def __init__(self):
@@ -127,6 +132,9 @@ class Tape:
         return self
 
     def __exit__(self, *exc):
+        for node in self.nodes:
+            node.parents = ()
+            node.ctx = {}
         self.nodes.clear()
         self._param_nodes.clear()
 
@@ -267,8 +275,12 @@ class Tape:
         weighted 1 / (ptr[i + 1] - ptr[i]).  With a_k = log_pi_k + Z_k -
         lse_k gathered at the label entries, the loss is the weighted mean
         of -logsumexp_k a_k.  Only the label entries of the mixture are ever
-        formed; the ctx keeps exp(Z_k - max), in the matmul's own buffer,
-        and the responsibilities rho_k = pi_k p_k / p at the label entries.
+        formed, from the responsibilities rho_k = pi_k p_k / p there.  The
+        k score blocks share one (k, n, N) buffer: each is exponentiated in
+        place and then turned in place into its dZ_k, from which the
+        gradients for a unit upstream adjoint are formed at once.  The ctx
+        keeps only those, (n x d), (N x d) and (n x k) arrays; the buffer is
+        freed when the forward returns.
         """
         if not states or states[0].value.shape[0] == 0:
             raise ValueError("mixture_xent needs at least one component and one row")
@@ -303,23 +315,41 @@ class Tape:
         w = (1.0 / counts)[rows]
         lp = np.zeros((n, 1)) if log_pi is None else log_pi.value
         a = np.empty((k, cols.shape[0]))
-        exps, sums = [], []
+        work = np.empty((k, n, n_ent))
+        sums = []
         for j, h in enumerate(states):
-            e = h.value @ entities.value.T
+            e = np.matmul(h.value, entities.value.T, out=work[j])
             picked = e[rows, cols]
             mx, s = exp_shifted_rows(e)
             lse = mx + np.log(s)
             a[j] = (picked - lse[rows, 0]) + lp[rows, j]
-            exps.append(e)
             sums.append(s)
         amax = a.max(axis=0)
         ell = amax + np.log(np.exp(a - amax).sum(axis=0))
         rho = np.exp(a - ell)
         value = np.array([[(-1.0 / n) * float((w * ell).sum())]])
+
+        # The gradients for a unit upstream adjoint, with c_ik = sum_j w_i
+        # rho_ijk and P_k = exp(Z_k - max) / s_k:
+        #   dZ_k = (1/n) (P_k * c_k - sparse(w rho_k)),
+        #   dH_k = dZ_k E,  dE = sum_k (H_k^T dZ_k)^T,  dlog_pi = -c / n.
+        # Each exp block of work becomes its dZ_k in place.
+        scale = 1.0 / n
+        grads, d_ent = [], None
+        c = np.empty((n, k))
+        for j, (h, s) in enumerate(zip(states, sums)):
+            c[:, j] = np.bincount(rows, weights=w * rho[j], minlength=n)
+            dz = work[j]
+            dz *= scale * c[:, j : j + 1] / s
+            np.subtract.at(dz, (rows, cols), scale * w * rho[j])
+            grads.append(dz @ entities.value)
+            de = (h.value.T @ dz).T
+            d_ent = de if d_ent is None else d_ent + de
+        grads.append(d_ent)
+        if log_pi is not None:
+            grads.append(-scale * c)
         parents = (*states, entities) + (() if log_pi is None else (log_pi,))
-        ctx = {"rows": rows, "cols": cols, "w": w, "rho": rho,
-               "exps": exps, "sums": sums}
-        return self._record("mixture_xent", value, parents, ctx)
+        return self._record("mixture_xent", value, parents, {"grads": grads})
 
     # ---- reverse pass ----
 
@@ -419,28 +449,10 @@ def _backward_rule(node: Node, g: np.ndarray):
 
 
 def _mixture_xent_rule(node: Node, g: np.ndarray):
-    # dZ_k = (g/n) (P_k * c_k - sparse(w rho_k)) with c_ik = sum_j w_i rho_ijk
-    # and P_k = exps[k] / sums[k]; each dZ_k is a fresh array, so the ctx
-    # stays as forward left it and a second backward repeats the first
-    ctx = node.ctx
-    rows, cols, w, rho = ctx["rows"], ctx["cols"], ctx["w"], ctx["rho"]
-    k = len(ctx["exps"])
-    states, entities = node.parents[:k], node.parents[k]
-    n = states[0].value.shape[0]
-    scale = g[0, 0] / n
-    grads, d_ent = [], None
-    c = np.empty((n, k))
-    for j, (h, e, s) in enumerate(zip(states, ctx["exps"], ctx["sums"])):
-        c[:, j] = np.bincount(rows, weights=w * rho[j], minlength=n)
-        dz = e * (scale * c[:, j : j + 1] / s)
-        np.subtract.at(dz, (rows, cols), scale * w * rho[j])
-        grads.append(dz @ entities.value)
-        de = dz.T @ h.value
-        d_ent = de if d_ent is None else d_ent + de
-    grads.append(d_ent)
-    if len(node.parents) > k + 1:
-        grads.append(-scale * c)
-    return tuple(grads)
+    # forward stored the gradients for g = 1; training always reaches this
+    # op with g == 1.0, so the product leaves them bitwise as they are, and
+    # the ctx stays as forward left it: a second backward repeats the first
+    return tuple(g[0, 0] * x for x in node.ctx["grads"])
 
 
 def finite_difference_check(build, params, eps: float = 1e-6) -> float:

@@ -103,7 +103,12 @@ def batch_loss(
 
 
 class Adam:
-    """Adam with bias correction; update order follows the param list."""
+    """Adam with bias correction; update order follows the param list.
+
+    The step runs in place: two scratch arrays sized to the largest
+    parameter, shared by all parameters, hold its temporaries, with the
+    operations in the order of the textbook formula, so every value is
+    bitwise what m_hat / (sqrt(v_hat) + eps) computed with fresh arrays."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -115,6 +120,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        self._scratch = np.empty((2, max((p.value.size for p in self.params), default=0)))
 
     def zero_grad(self):
         for p in self.params:
@@ -131,13 +137,21 @@ class Adam:
                     f"non-finite gradient in {p.name!r} ({bad} entries) "
                     f"at step {self.t}"
                 )
+            a, b = (buf[: g.size].reshape(g.shape) for buf in self._scratch)
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=a)
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(1 - b2, g, out=a)
+            a *= g
+            v += a
+            # p -= (lr * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(m, 1 - b1**self.t, out=a)
+            a *= self.lr
+            np.divide(v, 1 - b2**self.t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.value -= a
 
 
 @dataclass

@@ -444,6 +444,20 @@ def test_tape_context_drops_its_nodes_on_exit():
         gc.enable()
 
 
+def test_tape_exit_cuts_every_node_from_its_graph():
+    """A node kept past the block holds only its value: no parents, no ctx,
+    so it keeps nothing of the graph it was computed from alive."""
+    x = Parameter("x", np.ones((2, 2)))
+    with Tape() as tape:
+        soft = tape.row_log_softmax(tape.param(x))
+        loss = tape.weighted_sum(soft)
+        tape.backward(loss)
+        assert loss.parents == (soft,) and loss.ctx
+    for node in (soft, loss):
+        assert node.parents == () and node.ctx == {}
+    assert loss.value.shape == (1, 1)
+
+
 def test_tape_outside_a_with_block_dies_by_reference_counting():
     """Nodes hold no pointer back to their tape, so a tape used without the
     context manager is freed as soon as its last name goes, even while its
@@ -625,6 +639,65 @@ def test_mixture_xent_backward_leaves_its_ctx_alone():
     t.backward(loss)
     for p, g in zip(params, once):
         assert np.array_equal(p.grad, 2.0 * g), p.name
+
+
+def dense_dz_grads(hs, e, lp, ptr, cols):
+    """The gradients of mixture_xent for a unit adjoint, formed as its
+    backward rule formed them before they moved into the forward: the
+    forward keeps every exp(Z_k - max), and a fresh dense dZ_k is made
+    from each.  Same operations in the same order."""
+    states = [h.value for h in hs]
+    ent = e.value
+    n, k = states[0].shape[0], len(states)
+    counts = np.diff(ptr)
+    rows = np.repeat(np.arange(n), counts)
+    w = (1.0 / counts)[rows]
+    lpv = np.zeros((n, 1)) if lp is None else lp.value
+    a = np.empty((k, cols.shape[0]))
+    exps, sums = [], []
+    for j, h in enumerate(states):
+        z = h @ ent.T
+        picked = z[rows, cols]
+        mx, s = exp_shifted_rows(z)
+        a[j] = (picked - (mx + np.log(s))[rows, 0]) + lpv[rows, j]
+        exps.append(z)
+        sums.append(s)
+    ell = a.max(axis=0) + np.log(np.exp(a - a.max(axis=0)).sum(axis=0))
+    rho = np.exp(a - ell)
+    scale = np.ones((1, 1))[0, 0] / n
+    grads, d_ent = [], None
+    c = np.empty((n, k))
+    for j, (h, z, s) in enumerate(zip(states, exps, sums)):
+        c[:, j] = np.bincount(rows, weights=w * rho[j], minlength=n)
+        dz = z * (scale * c[:, j : j + 1] / s)
+        np.subtract.at(dz, (rows, cols), scale * w * rho[j])
+        grads.append(dz @ ent)
+        de = dz.T @ h
+        d_ent = de if d_ent is None else d_ent + de
+    grads.append(d_ent)
+    if lp is not None:
+        grads.append(-scale * c)
+    return grads
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_mixture_xent_gradients_are_the_dense_dz_rule_bitwise(k):
+    hs, e, lp, ptr, cols, params = xent_case(26, k, n=12, n_ent=40, d=5)
+    _, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
+    for p, g, want in zip(params, got, dense_dz_grads(hs, e, lp, ptr, cols)):
+        assert np.array_equal(g, want), p.name
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_mixture_xent_ctx_holds_no_score_sized_array(k):
+    """The ctx keeps the gradients only: (n x d), (N x d) and (n x k)
+    arrays, never a (n x N) score, exp or dZ block."""
+    n, n_ent, d = 60, 300, 3
+    hs, e, lp, ptr, cols, _ = xent_case(27, k, n=n, n_ent=n_ent, d=d)
+    loss = fused(Tape(), hs, e, lp, ptr, cols)
+    kept = [x for v in loss.ctx.values() for x in (v if isinstance(v, list) else [v])]
+    assert kept and all(x.size < n * n_ent for x in kept)
+    assert sum(x.nbytes for x in kept) == 8 * (k * n * d + n_ent * d + (n * k if k > 1 else 0))
 
 
 def test_mixture_xent_validation():

@@ -1,6 +1,7 @@
 """Loss terms against closed forms, an Adam reference implementation,
 convergence on a tiny graph, bitwise replayability, and early stopping."""
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -82,7 +83,7 @@ def test_batch_loss_rejects_bad_label_rows():
 @pytest.mark.parametrize("output_layer", ["softmax", "mos"])
 def test_batch_tape_holds_no_batch_by_entities_node(output_layer):
     """The training forward puts no (batch, n_entities) matrix on the tape:
-    the fused loss keeps its softmax buffers in its ctx only."""
+    the fused loss forms its score blocks in a buffer of its own forward."""
     n_ent, batch = 40, 6
     model = init_model("distmult", n_ent, 3, 4, seed=0)
     mos = init_mos(3, 4, np.random.default_rng(1)) if output_layer == "mos" else None
@@ -94,6 +95,60 @@ def test_batch_tape_holds_no_batch_by_entities_node(output_layer):
     assert loss.value.shape == (1, 1)
     assert [n.op for n in tape.nodes].count("mixture_xent") == 1
     assert all(n.value.shape != (batch, n_ent) for n in tape.nodes)
+
+
+def test_loss_kept_past_its_tape_holds_only_its_value():
+    """train_loop keeps each batch's loss past the block; it must not keep
+    the batch's graph, whose fused loss held k (batch x entities) arrays."""
+    n_ent, batch = 4000, 200
+    model = init_model("distmult", n_ent, 2, 4, seed=0)
+    mos = init_mos(3, 4, np.random.default_rng(1))
+    cfg = TrainConfig(dim=4, k=3, output_layer="mos")
+    ptr, cols = np.arange(batch + 1), np.arange(batch) * 7
+    tracemalloc.start()
+    try:
+        with Tape() as t:
+            loss = batch_loss(model, mos, cfg, np.arange(batch), np.arange(batch) % 2,
+                              ptr, cols, t, np.random.default_rng(2))
+            t.backward(loss)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss.parents == () and loss.ctx == {}
+    assert np.isfinite(loss.value[0, 0])
+    assert held < 2**20, held
+
+
+def test_one_mos_epoch_holds_one_batch_of_scores():
+    """The traced peak of a MoS epoch, validation included, stays below
+    k + 1 dense (batch x entities) float arrays: the fused loss's one
+    (k, batch, entities) work buffer and no second batch's.  The allowance
+    of 24 (batch + entities) x d arrays covers the (batch x d) nodes and
+    the parameters with their gradients, Adam moments and scratch, and the
+    best-epoch snapshot."""
+    n_ent, batch, dim, k = 4000, 200, 4, 3
+    rng = np.random.default_rng(0)
+
+    def triples(m):
+        return list(zip(rng.integers(n_ent, size=m).tolist(),
+                        rng.integers(2, size=m).tolist(),
+                        rng.integers(n_ent, size=m).tolist()))
+
+    store = TripleStore(entity_names=[f"e{i}" for i in range(n_ent)],
+                        relation_names=["r0", "r1"],
+                        train=triples(600), valid=triples(20), test=[])
+    cfg = TrainConfig(encoder="distmult", output_layer="mos", dim=dim, k=k,
+                      batch_size=batch, epochs=1, seed=0)
+    tracemalloc.start()
+    try:
+        result = train_loop(store, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_queries > 2 * batch  # at least three batches
+    block = batch * n_ent * 8
+    allowance = 24 * (batch + n_ent) * dim * 8
+    assert peak < (k + 1) * block + allowance, peak / block
 
 
 def test_mixture_batch_records_its_priors_once():
@@ -158,6 +213,34 @@ def test_adam_matches_scalar_reference():
         opt.step()
         got.append(p.value[0, 0])
     assert np.allclose(got, want, atol=1e-14)
+
+
+def test_adam_in_place_step_is_bitwise_the_textbook_formula():
+    """Five steps on parameters of three shapes (the largest sizes the
+    shared scratch) against fresh-array arithmetic in the same order."""
+    rng = np.random.default_rng(5)
+    shapes = [(7, 3), (1, 3), (2, 5)]
+    params = [Parameter(f"p{i}", rng.standard_normal(s)) for i, s in enumerate(shapes)]
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    want = [p.value.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 6):
+        for i, p in enumerate(params):
+            g = rng.standard_normal(p.shape)
+            p.grad[...] = g
+            m[i] *= b1
+            m[i] += (1 - b1) * g
+            v[i] *= b2
+            v[i] += (1 - b2) * g * g
+            m_hat = m[i] / (1 - b1**t)
+            v_hat = v[i] / (1 - b2**t)
+            want[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+        for i, p in enumerate(params):
+            assert np.array_equal(p.value, want[i]), (t, p.name)
+            assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
 
 
 def test_adam_raises_on_nonfinite_grad():
