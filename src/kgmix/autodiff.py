@@ -9,11 +9,11 @@ finite_difference_check certifies all of them against central
 differences.  Elementwise ops take equal shapes; nothing broadcasts.  The
 training loss is one fused op, mixture_xent, and the inference head is
 numpy (mos.head_log_probs), so no (batch x entities) matrix goes on any
-tape; both call exp_shifted_rows.  mixture_xent forms its gradients in its
-forward pass, in one (k, batch, entities) buffer that is freed when the
-forward returns, and a tape's exit cuts every node from its graph, so a
-training batch holds at most one set of score blocks, and nothing of it
-outlives the batch but the loss value.
+tape; both, and evaluation's filtered NLL, call exp_shifted_rows.
+mixture_xent forms its gradients in its forward pass, in one (k, batch,
+entities) buffer that is freed when the forward returns, and a tape's exit
+cuts every node from its graph, so a training batch holds at most one set
+of score blocks, and nothing of it outlives the batch but the loss value.
 """
 from __future__ import annotations
 

@@ -21,7 +21,8 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import SPLITS, TripleStore, filter_rows, sorted_unique, triple_array
+from .autodiff import exp_shifted_rows
+from .graph import SPLITS, TripleStore, filter_rows, sorted_unique
 
 HITS_AT = (1, 3, 10)
 BATCH_SIZE = 512  # score rows per kernel batch
@@ -177,15 +178,15 @@ def _filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=N
     The filter and the pools are applied as sparse corrections: a full rank
     counts the whole row and takes off the filtered entries that beat the
     true object, a pool rank counts only the pool's kept entries, and the
-    NLL writes -inf at the filtered entries of a copy of the row.
+    NLL writes -inf at the filtered entries of a copy of the row, which
+    autodiff.exp_shifted_rows, the one softmax kernel, then normalises.
     """
     if candidates is not None and not rank_mode:
         raise ValueError("candidate pools need a rank_mode")
-    triples = store.split(split)
-    if not triples:
+    subs, rels, objs = store.split(split).array.T
+    n, n_ent = objs.size, store.n_entities
+    if not n:
         raise ValueError(f"split {split!r} is empty")
-    subs, rels, objs = triple_array(triples).T
-    n, n_ent = len(triples), store.n_entities
     ptr, cols = filter_rows(store, filter_splits, subs, rels)
     rows = np.repeat(np.arange(n), np.diff(ptr))
     is_true = cols == objs[rows]
@@ -226,8 +227,6 @@ def _filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=N
         else:
             np.copyto(w, z)
             w[r, c] = -np.inf
-            mx = w.max(axis=1, keepdims=True)
-            w -= mx
-            np.exp(w, out=w)
-            values[start:stop] = mx[:, 0] + np.log(w.sum(axis=1)) - t
+            mx, s = exp_shifted_rows(w)
+            values[start:stop] = mx[:, 0] + np.log(s[:, 0]) - t
     return values, known

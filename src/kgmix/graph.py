@@ -5,20 +5,20 @@ test optional), or a single file treated as a train-only split.  Lines are
 tab-separated ``subject<TAB>relation<TAB>object`` labels.  Ids are assigned
 in first-appearance order, scanning train, then valid, then test.
 
-Each split of a TripleStore is a TrackedList, which counts its in-place
-changes.  The store builds the sorted (s*R + r)*N + o keys of a split
-combination once and keeps them until one of those splits changes or is
-reassigned; filter_rows and query_labels read them, so repeated filtered
-evaluation of one store sorts its triples only once per combination.
+Each split of a TripleStore is a Triples: one read-only (n, 3) int64 array,
+converted and checked once when the split is assigned, that still iterates
+and compares as a list of (s, r, o) tuples.  The store builds the sorted
+(s*R + r)*N + o keys of a split combination once and keeps them until one
+of those splits is reassigned; filter_rows and query_labels read them, so
+repeated filtered evaluation of one store sorts its triples only once per
+combination.
 """
 from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import wraps
-from itertools import chain
-from operator import is_
 
 import numpy as np
 
@@ -35,30 +35,50 @@ class TripleFormatError(ValueError):
     """A dataset line that does not parse as three tab-separated labels."""
 
 
-class TrackedList(list):
-    """A list of triples that counts its in-place changes in .changes.
+class Triples(Sequence):
+    """An immutable sequence of (s, r, o) triples, held as one read-only
+    (n, 3) int64 array in .array.  Iterating or indexing yields tuples of
+    Python ints (a slice, a list of them), and a Triples compares equal to
+    a list or tuple of the same triples."""
 
-    Every list method that changes the list in place (item, slice and del
-    assignment, +=, *= included) adds one to the count before it runs, so a
-    result derived from the list, stamped with the list and its count, is
-    stale exactly when either differs.  Copies and slices are plain lists.
-    """
+    __slots__ = ("_array",)
 
-    changes = 0
+    def __init__(self, triples):
+        a = np.array(triples)  # a private copy, whatever was passed
+        if a.shape == (0,):  # no triples
+            a = np.empty((0, 3), np.int64)
+        if a.ndim != 2 or a.shape[1] != 3 or a.dtype.kind not in "iu":
+            raise ValueError(
+                f"triples must form an (n, 3) integer array, got shape {a.shape} of {a.dtype}"
+            )
+        a = a.astype(np.int64, copy=False)
+        a.flags.writeable = False
+        self._array = a
 
+    array = property(lambda self: self._array, doc="the read-only (n, 3) int64 array")
 
-def _counting(method):
-    @wraps(method)
-    def counted(self, *args, **kwargs):
-        self.changes += 1
-        return method(self, *args, **kwargs)
+    def __len__(self) -> int:
+        return len(self._array)
 
-    return counted
+    def __getitem__(self, i):
+        rows = self._array[i]
+        return list(map(tuple, rows.tolist())) if rows.ndim == 2 else tuple(rows.tolist())
 
+    def __iter__(self):
+        return map(tuple, self._array.tolist())
 
-for _name in ("append", "extend", "insert", "pop", "remove", "clear", "sort",
-              "reverse", "__setitem__", "__delitem__", "__iadd__", "__imul__"):
-    setattr(TrackedList, _name, _counting(getattr(list, _name)))
+    def __eq__(self, other):
+        if isinstance(other, Triples):
+            return np.array_equal(self._array, other._array)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Triples({list(self)!r})"
+
+    def __reduce__(self):  # copies and unpickled copies are read-only too
+        return Triples, (self._array,)
 
 
 @dataclass
@@ -66,21 +86,21 @@ class TripleStore:
     """Integer-encoded triples plus the label tables behind the encoding.
 
     Assigning a split (train, valid or test), in the constructor or later,
-    stores it as a TrackedList (a copy, unless it is one already); it still
-    compares equal to a plain list of the same triples.  triple_keys builds
-    the filter keys of each split combination once and rebuilds them only
-    after one of its splits was changed in place or reassigned.
+    stores it as a Triples, converting a list or array of triples once; a
+    split that is not (n, 3) integers, or holds an entity id outside [0, N =
+    n_entities) or a relation id outside [0, R = n_relations), raises
+    ValueError.  triple_keys caches the filter keys of each combination.
     """
 
     entity_names: list[str]
     relation_names: list[str]
-    train: list[Triple]
-    valid: list[Triple]
-    test: list[Triple]
+    train: Triples
+    valid: Triples
+    test: Triples
     inverse_augmented: bool = False
     entity_ids: dict[str, int] = field(default_factory=dict, repr=False)
     relation_ids: dict[str, int] = field(default_factory=dict, repr=False)
-    # split combination -> (split lists, their change counts, (N, R), keys)
+    # split combination -> ((N, R), keys)
     _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,10 +111,19 @@ class TripleStore:
 
     def __setattr__(self, name, value):
         if name in SPLITS:
-            if not isinstance(value, TrackedList):
-                value = TrackedList(value)
+            if not isinstance(value, Triples):
+                try:
+                    value = Triples(value)
+                except ValueError as e:
+                    raise ValueError(f"split {name!r}: {e}") from None
+            bounds = (self.n_entities, self.n_relations, self.n_entities)
+            bad = ((value.array < 0) | (value.array >= bounds)).any(axis=1)
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(f"split {name!r}: row {i} {value[i]} holds an id outside "
+                                 f"[0, N) = [0, {bounds[0]}) or [0, R) = [0, {bounds[1]})")
             for combo in [c for c in self.__dict__.get("_keys", ()) if name in c]:
-                del self._keys[combo]  # frees the replaced split and its keys
+                del self._keys[combo]  # frees the replaced split's keys
         super().__setattr__(name, value)
 
     @property
@@ -105,37 +134,29 @@ class TripleStore:
     def n_relations(self) -> int:
         return len(self.relation_names)
 
-    def split(self, name: str) -> list[Triple]:
+    def split(self, name: str) -> Triples:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
     def all_triples(self, splits=("train", "valid", "test")) -> list[Triple]:
-        out = []
-        for s in splits:
-            out.extend(self.split(s))
-        return out
+        return [t for s in splits for t in self.split(s)]
 
     def triple_keys(self, splits) -> np.ndarray:
         """The sorted unique keys (s*R + r)*N + o of the triples in the
         splits, built once per split combination (in any order) and rebuilt
-        when one of its splits, N or R has changed since.  Read-only.
-
-        Reassigning a split drops the keys that hold it at once; after an
-        in-place change the stale keys stay until their combination is
-        asked for again, so the store holds at most one array per
-        combination."""
+        when N or R has changed since.  Read-only.  Reassigning a split
+        drops the keys that hold it at once, so the store holds at most one
+        array per combination."""
         combo = tuple(sorted(set(splits)))
-        lists = tuple(self.split(s) for s in combo)
-        changes = tuple(t.changes for t in lists)
         shape = (self.n_entities, self.n_relations)
         hit = self._keys.get(combo)
-        if hit and all(map(is_, hit[0], lists)) and hit[1:3] == (changes, shape):
-            return hit[3]
-        t = triple_array(self.all_triples(combo))
+        if hit and hit[0] == shape:
+            return hit[1]
+        t = np.concatenate([self.split(s).array for s in combo] or [np.empty((0, 3), np.int64)])
         keys = sorted_unique((t[:, 0] * shape[1] + t[:, 1]) * shape[0] + t[:, 2])
         keys.flags.writeable = False
-        self._keys[combo] = (lists, changes, shape, keys)
+        self._keys[combo] = (shape, keys)
         return keys
 
 
@@ -174,8 +195,7 @@ def load_triples(path: str, strict: bool = False) -> TripleStore:
     unseen = []
 
     for split_name, file_path in files:
-        seen: set[Triple] = set()
-        dupes = 0
+        rows = []
         with open(file_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip() == "":
@@ -192,14 +212,11 @@ def load_triples(path: str, strict: bool = False) -> TripleStore:
                         unseen.append((split_name, "relation", r))
                     relation_ids[r] = len(relation_names)
                     relation_names.append(r)
-                t = (entity_ids[s], relation_ids[r], entity_ids[o])
-                if t in seen:
-                    dupes += 1
-                    continue
-                seen.add(t)
-                splits[split_name].append(t)
-        if dupes:
-            warnings.warn(f"{file_path}: dropped {dupes} duplicate lines")
+                rows.append((entity_ids[s], relation_ids[r], entity_ids[o]))
+        splits[split_name] = list(dict.fromkeys(rows))  # first copies, in file order
+        if len(rows) > len(splits[split_name]):
+            warnings.warn(f"{file_path}: dropped {len(rows) - len(splits[split_name])} "
+                          "duplicate lines")
 
     if unseen:
         msg = (
@@ -210,15 +227,8 @@ def load_triples(path: str, strict: bool = False) -> TripleStore:
             raise ValueError(msg)
         warnings.warn(msg)
 
-    return TripleStore(
-        entity_names=entity_names,
-        relation_names=relation_names,
-        train=splits["train"],
-        valid=splits["valid"],
-        test=splits["test"],
-        entity_ids=entity_ids,
-        relation_ids=relation_ids,
-    )
+    return TripleStore(entity_names, relation_names, **splits,
+                       entity_ids=entity_ids, relation_ids=relation_ids)
 
 
 def augment_inverse(store: TripleStore) -> TripleStore:
@@ -236,21 +246,14 @@ def augment_inverse(store: TripleStore) -> TripleStore:
             f"relation labels already end with {INVERSE_SUFFIX!r}: {clash[:3]}"
         )
     n_rel = store.n_relations
-    relation_names = list(store.relation_names) + [
-        n + INVERSE_SUFFIX for n in store.relation_names
-    ]
+    relation_names = [*store.relation_names, *(n + INVERSE_SUFFIX for n in store.relation_names)]
 
-    def flip(triples: list[Triple]) -> list[Triple]:
-        return list(triples) + [(o, r + n_rel, s) for s, r, o in triples]
+    def flip(name: str) -> np.ndarray:
+        a = store.split(name).array
+        return np.concatenate([a, a[:, ::-1] + (0, n_rel, 0)])
 
-    return TripleStore(
-        entity_names=list(store.entity_names),
-        relation_names=relation_names,
-        train=flip(store.train),
-        valid=flip(store.valid),
-        test=flip(store.test),
-        inverse_augmented=True,
-    )
+    return TripleStore(list(store.entity_names), relation_names,
+                       **{name: flip(name) for name in SPLITS}, inverse_augmented=True)
 
 
 @dataclass
@@ -276,17 +279,11 @@ class QueryIndex:
 
 
 def build_query_index(store: TripleStore, splits=("train",)) -> QueryIndex:
-    grouped: dict[tuple[int, int], set[int]] = {}
-    for s, r, o in store.all_triples(splits):
-        grouped.setdefault((s, r), set()).add(o)
-    objects = {q: sorted(v) for q, v in grouped.items()}
+    subs, rels, ptr, cols = query_labels(store, splits)
+    cols, ptr = cols.tolist(), ptr.tolist()
+    queries = zip(subs.tolist(), rels.tolist())
+    objects = {q: cols[a:b] for q, a, b in zip(queries, ptr, ptr[1:])}
     return QueryIndex(objects=objects, splits=tuple(splits))
-
-
-def triple_array(triples: list[Triple]) -> np.ndarray:
-    """Triples as an (n, 3) int64 array of (subject, relation, object) rows."""
-    flat = chain.from_iterable(triples)
-    return np.fromiter(flat, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -388,16 +385,15 @@ def dataset_stats(store: TripleStore, splits=("train", "valid", "test")) -> dict
             "sufficient_dim": sufficient_dim(d),
         }
 
+    plain = variant(store)
     return {
         "entities": store.n_entities,
         "relations": store.n_relations,
         "triples": {
-            "train": len(store.train),
-            "valid": len(store.valid),
-            "test": len(store.test),
-            "total_raw": len(store.train) + len(store.valid) + len(store.test),
-            "unique": len(set(store.all_triples(splits))),
+            **{name: len(store.split(name)) for name in SPLITS},
+            "total_raw": sum(len(store.split(name)) for name in SPLITS),
+            "unique": plain["unique_triples"],
         },
-        "without_inverses": variant(store),
+        "without_inverses": plain,
         "with_inverses": variant(augment_inverse(store)),
     }

@@ -14,7 +14,7 @@ from kgmix.evaluate import (
     filtered_nll,
     ranking_metrics,
 )
-from kgmix.graph import TripleStore, build_query_index, filter_rows, triple_array
+from kgmix.graph import TripleStore, build_query_index, filter_rows
 
 
 def filtered_rank(scores, true_id: int, filter_ids=(), mode: str = "optimistic") -> int:
@@ -509,9 +509,8 @@ def _dense_filtered_pass(fn, store, split, filter_splits, rank_mode=None, candid
     """The reference kernel: dense (batch x entities) keep and pool masks,
     in batches of the kernel's BATCH_SIZE."""
     batch_size = evaluate.BATCH_SIZE
-    triples = store.split(split)
-    subs, rels, objs = triple_array(triples).T
-    n, n_ent = len(triples), store.n_entities
+    subs, rels, objs = store.split(split).array.T
+    n, n_ent = objs.size, store.n_entities
     filt = filter_rows(store, filter_splits, subs, rels)
     pools = None if candidates is None else _candidate_rows(candidates, n, n_ent)
 

@@ -1,6 +1,7 @@
 """Triple store loading, augmentation, indexing, and degree statistics."""
 import copy
 import dataclasses
+import pickle
 import warnings
 import weakref
 
@@ -10,8 +11,8 @@ import pytest
 from kgmix import graph
 from kgmix.graph import (
     DegreeStats,
-    TrackedList,
     TripleFormatError,
+    Triples,
     TripleStore,
     augment_inverse,
     build_query_index,
@@ -134,7 +135,7 @@ def test_query_index_recovers_unique_triples(toy_store):
 
 
 def test_query_index_deduplicates_across_splits(toy_store):
-    toy_store.test.append(toy_store.train[0])  # same triple in two splits
+    toy_store.test = [*toy_store.test, toy_store.train[0]]  # same triple in two splits
     idx = build_query_index(toy_store, ("train", "test"))
     s, r, o = toy_store.train[0]
     assert idx.get(s, r).count(o) == 1
@@ -142,7 +143,7 @@ def test_query_index_deduplicates_across_splits(toy_store):
 
 @pytest.mark.parametrize("splits", [(), ("train",), ("train", "valid", "test")])
 def test_filter_rows_equal_the_query_index(toy_store, splits):
-    toy_store.test.append(toy_store.train[0])  # a duplicate across splits
+    toy_store.test = [*toy_store.test, toy_store.train[0]]  # a duplicate across splits
     idx = build_query_index(toy_store, splits)
     subs, rels = np.meshgrid(np.arange(6), np.arange(2), indexing="ij")
     subs, rels = subs.ravel(), rels.ravel()  # every query, known or not
@@ -169,7 +170,7 @@ def test_degree_stats_hand_counted(toy_store):
 
 
 def test_degree_sum_equals_indexed_triples(toy_store):
-    toy_store.test.append(toy_store.train[0])
+    toy_store.test = [*toy_store.test, toy_store.train[0]]
     stats = degree_stats(toy_store)
     idx = build_query_index(toy_store, ("train", "valid", "test"))
     assert stats.triples == idx.n_triples
@@ -217,7 +218,7 @@ def test_dataset_stats_hand_counted(toy_store):
 
 
 def test_dataset_stats_counts_cross_split_duplicates(toy_store):
-    toy_store.test.append(toy_store.train[0])
+    toy_store.test = [*toy_store.test, toy_store.train[0]]
     stats = dataset_stats(toy_store)
     assert stats["triples"]["total_raw"] == 13
     assert stats["triples"]["unique"] == 12
@@ -233,17 +234,9 @@ def test_split_name_validation(toy_store):
         toy_store.split("dev")
 
 
-# ---- cached split keys: every change to a split is seen ----
+# ---- splits are read-only arrays; reassignment refreshes the cached keys ----
 
 NEW = (5, 1, 2)  # in no split of the toy store
-
-
-def _iadd(store):
-    store.train += [NEW]
-
-
-def _imul(store):
-    store.train *= 0
 
 
 def _setitem(store):
@@ -262,26 +255,48 @@ def _delslice(store):
     del store.train[1:4]
 
 
+def _iadd(store):
+    store.train += [NEW]
+
+
+def _imul(store):
+    store.train *= 0
+
+
+def _write_array(store):
+    store.train.array[0, 2] = 5
+
+
+def _replace_array(store):
+    store.train.array = np.zeros((1, 3), dtype=np.int64)
+
+
 def _reassign(store):
     store.train = store.train[:3] + [NEW]
 
 
-MUTATIONS = {
-    "append": lambda st: st.train.append(NEW),
-    "extend": lambda st: st.train.extend([NEW, (4, 0, 0)]),
-    "insert": lambda st: st.train.insert(1, NEW),
-    "pop": lambda st: st.train.pop(),
-    "remove": lambda st: st.train.remove((0, 0, 2)),
-    "clear": lambda st: st.train.clear(),
-    "sort": lambda st: st.train.sort(reverse=True),
-    "reverse": lambda st: st.train.reverse(),
-    "setitem": _setitem,
-    "setslice": _setslice,
-    "delitem": _delitem,
-    "delslice": _delslice,
-    "iadd": _iadd,
-    "imul": _imul,
-    "reassign": _reassign,
+# every change a list of triples allows, two on the array, and three
+# reassignments; each in-place change raises the given error
+CHANGES = {
+    "append": (AttributeError, lambda st: st.train.append(NEW)),
+    "extend": (AttributeError, lambda st: st.train.extend([NEW])),
+    "insert": (AttributeError, lambda st: st.train.insert(1, NEW)),
+    "pop": (AttributeError, lambda st: st.train.pop()),
+    "remove": (AttributeError, lambda st: st.train.remove((0, 0, 2))),
+    "clear": (AttributeError, lambda st: st.train.clear()),
+    "sort": (AttributeError, lambda st: st.train.sort(reverse=True)),
+    "reverse": (AttributeError, lambda st: st.train.reverse()),
+    "setitem": (TypeError, _setitem),
+    "setslice": (TypeError, _setslice),
+    "delitem": (TypeError, _delitem),
+    "delslice": (TypeError, _delslice),
+    "iadd": (TypeError, _iadd),
+    "imul": (TypeError, _imul),
+    "write_array": (ValueError, _write_array),
+    "replace_array": (AttributeError, _replace_array),
+    "reassign": (None, _reassign),
+    "reassign_array": (None, lambda st: setattr(st, "train", np.array([NEW, (4, 0, 0)]))),
+    "reassign_empty": (None, lambda st: setattr(st, "train", [])),
 }
 
 
@@ -303,48 +318,115 @@ def _fresh(store):
                        list(store.train), list(store.valid), list(store.test))
 
 
-@pytest.mark.parametrize("name", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", sorted(CHANGES))
 def test_cached_keys_follow_every_change(toy_store, name):
+    """An in-place change raises and leaves the split and its keys as they
+    were; a reassignment refreshes the keys."""
     before = _filters(toy_store)  # builds and caches the keys
-    train, changes = toy_store.train, toy_store.train.changes
-    MUTATIONS[name](toy_store)
-    assert isinstance(toy_store.train, TrackedList)
-    assert toy_store.train is not train or toy_store.train.changes > changes
-    after = _filters(toy_store)
-    assert after == _filters(_fresh(toy_store))
-    if name not in ("sort", "reverse"):  # these keep the set of triples
-        assert after != before
-
-
-def test_splits_stay_lists_and_replace_works(toy_store):
-    plain = [(1, 0, 4), (3, 1, 5)]
-    assert toy_store.split("test") == plain and plain == toy_store.test
-    assert isinstance(toy_store.test, TrackedList) and isinstance(toy_store.test, list)
-    assert repr(toy_store.test) == repr(plain)
-    assert toy_store == _fresh(toy_store)
-
-    keys = toy_store.triple_keys(("train",))
-    assert toy_store.triple_keys(["train", "train"]) is keys  # cached
-    with pytest.raises(ValueError):
-        keys[0] = 0
-    other = dataclasses.replace(toy_store, test=[(0, 0, 3)])
-    assert isinstance(other.test, TrackedList) and other.test == [(0, 0, 3)]
-    assert other.train == toy_store.train
-    assert filter_rows(other, ("test",), [0, 1], [0, 0])[1].tolist() == [3]
-    assert filter_rows(toy_store, ("test",), [0, 1], [0, 0])[1].tolist() == [4]
-
-    clone = copy.deepcopy(toy_store)
-    clone.train.append(NEW)
-    assert _filters(clone) == _filters(_fresh(clone))
+    train = list(toy_store.train)
+    error, change = CHANGES[name]
+    if error is None:
+        change(toy_store)
+        assert toy_store.train != train and _filters(toy_store) != before
+    else:
+        with pytest.raises(error):
+            change(toy_store)
+        assert toy_store.train == train and _filters(toy_store) == before
+    assert isinstance(toy_store.train, Triples)
     assert _filters(toy_store) == _filters(_fresh(toy_store))
 
 
 def test_reassigning_a_split_frees_the_old_one(toy_store):
     _filters(toy_store)  # caches keys that hold train
-    old = weakref.ref(toy_store.train)
+    old_keys = weakref.ref(toy_store.triple_keys(("train",)))
     toy_store.train = list(toy_store.train)
-    assert old() is None  # no cached entry keeps the replaced split alive
+    assert old_keys() is None  # the cache keeps no keys of the replaced split
     assert _filters(toy_store) == _filters(_fresh(toy_store))
+
+
+def _assert_read_only_splits(store):
+    for name in graph.SPLITS:
+        t = store.split(name)
+        assert isinstance(t, Triples)
+        a = t.array
+        assert a.dtype == np.int64 and a.ndim == 2 and a.shape == (len(t), 3)
+        assert not a.flags.writeable
+        if len(t):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
+        assert all(type(x) is int for triple in t for x in triple)
+
+
+def test_every_way_to_make_a_store_gives_read_only_splits(toy_store, tmp_path):
+    p = tmp_path / "edges.txt"
+    p.write_text("alice\tknows\tbob\nbob\tknows\tcarol\n")
+    other = dataclasses.replace(toy_store, test=[(0, 0, 3)])
+    clone = copy.deepcopy(toy_store)
+    stores = [toy_store, load_triples(str(p)), augment_inverse(toy_store), other, clone,
+              pickle.loads(pickle.dumps(toy_store))]
+    for store in stores:
+        _assert_read_only_splits(store)
+    assert stores[1].train == [(0, 0, 1), (1, 0, 2)]
+    assert stores[2].train[: len(toy_store.train)] == list(toy_store.train)
+    assert stores[-1] == toy_store
+    assert clone == toy_store and clone.train.array is not toy_store.train.array
+    clone.train = [*clone.train, NEW]
+    assert _filters(clone) == _filters(_fresh(clone))
+    assert _filters(toy_store) == _filters(_fresh(toy_store))
+
+
+def test_splits_stay_lists_and_replace_works(toy_store):
+    """A split reads and compares as a list of int tuples, and
+    dataclasses.replace swaps one split without touching the others."""
+    plain = [(1, 0, 4), (3, 1, 5)]
+    t = toy_store.test
+    assert toy_store.split("test") == plain and plain == t and t == tuple(plain)
+    assert t != plain[:1] and t != "ab" and t == Triples(plain)
+    assert list(t) == plain and t[1] == (3, 1, 5) and t[-1] == (3, 1, 5)
+    assert t[:1] == [(1, 0, 4)] and t[np.int64(0)] == (1, 0, 4)
+    assert (3, 1, 5) in t and t.index((3, 1, 5)) == 1
+    assert repr(t) == f"Triples({plain!r})"
+    assert toy_store == _fresh(toy_store)
+    keys = toy_store.triple_keys(("train",))
+    assert toy_store.triple_keys(["train", "train"]) is keys  # cached
+    with pytest.raises(ValueError):
+        keys[0] = 0
+    other = dataclasses.replace(toy_store, test=[(0, 0, 3)])
+    assert other.test == [(0, 0, 3)] and other.train is toy_store.train
+    assert filter_rows(other, ("test",), [0, 1], [0, 0])[1].tolist() == [3]
+    assert filter_rows(toy_store, ("test",), [0, 1], [0, 0])[1].tolist() == [4]
+
+
+BAD_SPLITS = {
+    "shape": ([(0, 0)], "integer array, got shape \\(1, 2\\)"),
+    "ragged": ([(0, 0, 1), (0, 0)], "inhomogeneous"),
+    "floats": ([(0.0, 0.0, 1.0)], "of float64"),
+    "negative": ([(0, 0, 1), (2, 0, -1)], "row 1 \\(2, 0, -1\\) holds an id outside"),
+    "entity": ([(0, 0, 1), (1, 0, 2), (0, 0, 6)], "row 2 \\(0, 0, 6\\) holds an id outside"),
+    "subject": ([(6, 0, 1)], "row 0 \\(6, 0, 1\\) holds an id outside"),
+    "relation": ([(0, 0, 1), (0, 2, 1)], "row 1 \\(0, 2, 1\\) holds an id outside"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPLITS))
+def test_bad_split_is_rejected_when_assigned(toy_store, name):
+    bad, message = BAD_SPLITS[name]
+    with pytest.raises(ValueError, match=f"split 'valid'.*{message}"):
+        TripleStore(list(toy_store.entity_names), list(toy_store.relation_names),
+                    toy_store.train, bad, toy_store.test)
+    before = _filters(toy_store)
+    with pytest.raises(ValueError, match=f"split 'valid'.*{message}"):
+        toy_store.valid = bad
+    assert toy_store.valid == [(0, 1, 3), (2, 0, 4)]  # the old split stays
+    assert _filters(toy_store) == before
+
+
+def test_out_of_range_ids_no_longer_reach_the_filter():
+    """An object id of N once gave query (1, 0) the true object 1 and
+    query (0, 0) no filter; it is now refused up front."""
+    with pytest.raises(ValueError, match=r"split 'train': row 0 \(0, 0, 4\) holds an id "
+                                         r"outside \[0, N\) = \[0, 3\) or \[0, R\) = \[0, 1\)"):
+        TripleStore(["a", "b", "c"], ["r"], train=[(0, 0, 4)], valid=[], test=[])
 
 
 def test_keys_follow_new_entities_and_relations(toy_store):
@@ -363,19 +445,22 @@ def test_split_keys_built_once_per_combination(toy_store, monkeypatch):
     from kgmix.models import Scorer, init_model
 
     built = []
-    triple_array = graph.triple_array
+    sorted_unique = graph.sorted_unique
 
-    def counting(triples):
-        built.append(len(triples))
-        return triple_array(triples)
+    def counting(keys):
+        built.append(len(keys))
+        return sorted_unique(keys)
 
-    monkeypatch.setattr(graph, "triple_array", counting)
+    monkeypatch.setattr(graph, "sorted_unique", counting)
     scorer = Scorer(init_model("distmult", 6, 2, 3, seed=2))
     evaluate_model(scorer, toy_store, "test")
     ranking_metrics(scorer.scores, toy_store, "test", candidates=[[0, 1, 1], [2]])
     evaluate_model(scorer, toy_store, "valid", nll_filter_splits=("train",))
     query_labels(toy_store, ("train",))
+    build_query_index(toy_store, ("valid", "train", "test"))
     assert built == [12, 8]  # train+valid+test for ranks, train for the NLL
-    toy_store.valid.append(NEW)
+    dataset_stats(toy_store)  # reads the cached keys, and its augmented store's
+    assert built == [12, 8, 24]
+    toy_store.valid = [*toy_store.valid, NEW]
     evaluate_model(scorer, toy_store, "test")
-    assert built == [12, 8, 13]
+    assert built == [12, 8, 24, 13]

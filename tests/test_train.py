@@ -24,7 +24,7 @@ from kgmix.train import (
 
 
 def test_query_labels_follow_query_index(toy_store):
-    toy_store.test.append(toy_store.train[0])  # a duplicate across splits
+    toy_store.test = [*toy_store.test, toy_store.train[0]]  # a duplicate across splits
     for splits in [(), ("train",), ("train", "valid", "test")]:
         subs, rels, ptr, cols = query_labels(toy_store, splits)
         index = build_query_index(toy_store, splits)
