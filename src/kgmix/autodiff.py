@@ -10,10 +10,12 @@ differences.  Elementwise ops take equal shapes; nothing broadcasts.  The
 training loss is one fused op, mixture_xent, and the inference head is
 numpy (mos.head_log_probs), so no (batch x entities) matrix goes on any
 tape; both, and evaluation's filtered NLL, call exp_shifted_rows.
-mixture_xent forms its gradients in its forward pass, in one (k, batch,
-entities) buffer that is freed when the forward returns, and a tape's exit
-cuts every node from its graph, so a training batch holds at most one set
-of score blocks, and nothing of it outlives the batch but the loss value.
+mixture_xent forms its gradients in its forward pass, walking the batch
+in blocks of query rows with all k components of a row in one block, in
+one (XENT_ROWS x entities) buffer that is freed when the forward returns;
+and a tape's exit cuts every node from its graph.  So a training batch
+holds at most one score block, whatever its size or k, and nothing of it
+outlives the batch but the loss value.
 """
 from __future__ import annotations
 
@@ -21,6 +23,9 @@ import numpy as np
 
 # negative-side slope of every leaky-relu, in the encoder and the mixture
 LEAKY_SLOPE = 0.01
+# score rows per block of mixture_xent: a block holds all k components of
+# XENT_ROWS // k query rows, so the loss's one buffer is XENT_ROWS x entities
+XENT_ROWS = 512
 
 
 def _as_value(x) -> np.ndarray:
@@ -276,11 +281,14 @@ class Tape:
         lse_k gathered at the label entries, the loss is the weighted mean
         of -logsumexp_k a_k.  Only the label entries of the mixture are ever
         formed, from the responsibilities rho_k = pi_k p_k / p there.  The
-        k score blocks share one (k, n, N) buffer: each is exponentiated in
-        place and then turned in place into its dZ_k, from which the
-        gradients for a unit upstream adjoint are formed at once.  The ctx
-        keeps only those, (n x d), (N x d) and (n x k) arrays; the buffer is
-        freed when the forward returns.
+        rows are walked in blocks of XENT_ROWS // k queries, and a block
+        holds every component of its rows, stacked in one reused (k * rows)
+        x N buffer, so each row's normalisers and rho are exact within its
+        block.  The block is exponentiated in place and then turned in place
+        into its dZ rows, from which the gradients for a unit upstream
+        adjoint are formed at once.  The ctx keeps only those, (n x d), (N x
+        d) and (n x k) arrays; the buffer, at most XENT_ROWS x N, is freed
+        when the forward returns.
         """
         if not states or states[0].value.shape[0] == 0:
             raise ValueError("mixture_xent needs at least one component and one row")
@@ -314,38 +322,49 @@ class Tape:
         rows = np.repeat(np.arange(n), counts)
         w = (1.0 / counts)[rows]
         lp = np.zeros((n, 1)) if log_pi is None else log_pi.value
-        a = np.empty((k, cols.shape[0]))
-        work = np.empty((k, n, n_ent))
-        sums = []
-        for j, h in enumerate(states):
-            e = np.matmul(h.value, entities.value.T, out=work[j])
-            picked = e[rows, cols]
-            mx, s = exp_shifted_rows(e)
-            lse = mx + np.log(s)
-            a[j] = (picked - lse[rows, 0]) + lp[rows, j]
-            sums.append(s)
-        amax = a.max(axis=0)
-        ell = amax + np.log(np.exp(a - amax).sum(axis=0))
-        rho = np.exp(a - ell)
-        value = np.array([[(-1.0 / n) * float((w * ell).sum())]])
-
-        # The gradients for a unit upstream adjoint, with c_ik = sum_j w_i
-        # rho_ijk and P_k = exp(Z_k - max) / s_k:
-        #   dZ_k = (1/n) (P_k * c_k - sparse(w rho_k)),
-        #   dH_k = dZ_k E,  dE = sum_k (H_k^T dZ_k)^T,  dlog_pi = -c / n.
-        # Each exp block of work becomes its dZ_k in place.
+        ent = entities.value
         scale = 1.0 / n
-        grads, d_ent = [], None
+        rb = min(n, max(1, XENT_ROWS // k))
+        work = np.empty((k * rb, n_ent))
+        ell = np.empty(cols.shape[0])
         c = np.empty((n, k))
-        for j, (h, s) in enumerate(zip(states, sums)):
-            c[:, j] = np.bincount(rows, weights=w * rho[j], minlength=n)
-            dz = work[j]
-            dz *= scale * c[:, j : j + 1] / s
-            np.subtract.at(dz, (rows, cols), scale * w * rho[j])
-            grads.append(dz @ entities.value)
-            de = (h.value.T @ dz).T
-            d_ent = de if d_ent is None else d_ent + de
-        grads.append(d_ent)
+        d_states = [np.empty((n, d)) for _ in states]
+        d_ent = None
+        for r0 in range(0, n, rb):
+            r1 = min(r0 + rb, n)
+            m = r1 - r0
+            lo, hi = ptr[r0], ptr[r1]
+            br = rows[lo:hi] - r0
+            # the block's label entries, in its rows of every component
+            at = ((np.arange(k)[:, None] * m + br).ravel(), np.tile(cols[lo:hi], k))
+            hb = states[0].value[r0:r1] if k == 1 else np.concatenate(
+                [h.value[r0:r1] for h in states])
+            z = np.matmul(hb, ent.T, out=work[: k * m])
+            picked = z[at].reshape(k, -1)
+            mx, s = exp_shifted_rows(z)
+            lse = (mx + np.log(s))[at[0], 0].reshape(k, -1)
+            a = (picked - lse) + lp[rows[lo:hi]].T
+            amax = a.max(axis=0)
+            ell[lo:hi] = amax + np.log(np.exp(a - amax).sum(axis=0))
+            rho = np.exp(a - ell[lo:hi])
+
+            # The gradients for a unit upstream adjoint, with c_ik = sum_j
+            # w_i rho_ijk and P_k = exp(Z_k - max) / s_k:
+            #   dZ_k = (1/n) (P_k * c_k - sparse(w rho_k)),
+            #   dH_k = dZ_k E,  dE = (H^T dZ)^T,  dlog_pi = -c / n,
+            # with H and dZ the k components' rows stacked.  The block's
+            # exp rows become its dZ rows in place.
+            wb = w[lo:hi]
+            for j in range(k):
+                c[r0:r1, j] = np.bincount(br, weights=wb * rho[j], minlength=m)
+            z *= scale * c[r0:r1].T.reshape(-1, 1) / s
+            np.subtract.at(z, at, (scale * wb * rho).ravel())
+            for j in range(k):
+                np.matmul(z[j * m : (j + 1) * m], ent, out=d_states[j][r0:r1])
+            de = hb.T @ z
+            d_ent = de if d_ent is None else np.add(d_ent, de, out=d_ent)
+        value = np.array([[(-1.0 / n) * float((w * ell).sum())]])
+        grads = [*d_states, d_ent.T]
         if log_pi is not None:
             grads.append(-scale * c)
         parents = (*states, entities) + (() if log_pi is None else (log_pi,))

@@ -172,7 +172,8 @@ def _filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=N
     and whether the filter holds the true object itself.
 
     fn(subjects, relations) gives one (batch, n_entities) row per triple,
-    BATCH_SIZE triples at a time, and is never written to.  A row keeps the
+    BATCH_SIZE triples at a time, and is never written to; the pass holds
+    no block of fn's while fn makes the next.  A row keeps the
     true object and every entity that is neither a true object in
     filter_splits nor outside the triple's pool; pools apply to ranks only.
     The filter and the pools are applied as sparse corrections: a full rank
@@ -229,4 +230,5 @@ def _filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=N
             w[r, c] = -np.inf
             mx, s = exp_shifted_rows(w)
             values[start:stop] = mx[:, 0] + np.log(s[:, 0]) - t
+        del z  # so that fn scores the next batch with this block freed
     return values, known

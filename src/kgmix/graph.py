@@ -109,6 +109,9 @@ class TripleStore:
         if not self.relation_ids:
             self.relation_ids = {n: i for i, n in enumerate(self.relation_names)}
 
+    def __getstate__(self):  # a copy rebuilds its own read-only keys
+        return {**self.__dict__, "_keys": {}}
+
     def __setattr__(self, name, value):
         if name in SPLITS:
             if not isinstance(value, Triples):

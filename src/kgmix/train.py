@@ -11,6 +11,7 @@ a fixed thread count.
 """
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ from .models import ENCODERS, ModelParams, Scorer, encode, init_model, state_arr
 from .mos import MosParams, init_mos, mixture_states
 
 OUTPUT_LAYERS = ("softmax", "mos")
+# glibc's mallopt parameter numbers, from malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 class TrainingDiverged(RuntimeError):
@@ -179,16 +182,33 @@ class TrainResult:
     n_queries: int = 0  # training queries (unique train (s, r) pairs)
 
 
+def _keep_freed_heap():
+    """Fix the allocator's mmap threshold at 32 MiB and its trim threshold
+    at 64 MiB, for the whole process.  glibc raises both only when it frees
+    a large mmapped chunk; with no such chunk in a batch, it hands the heap
+    top back to the system after every batch and page-faults it in again
+    in the next.  Does nothing where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def train_loop(store: TripleStore, config: TrainConfig, progress=None) -> TrainResult:
     """Train on the store's train split; early-stop on valid filtered MRR.
 
     Keeps the parameters of the best validation epoch (when a valid split
     exists; otherwise runs all epochs and keeps the final state).  progress,
-    if given, is called with each EpochRecord as it completes.
+    if given, is called with each EpochRecord as it completes.  Sets the
+    process's allocator thresholds first (_keep_freed_heap).
     """
     config.validate()
     if not store.train:
         raise ValueError("training needs a non-empty train split")
+    _keep_freed_heap()
 
     rng_init = np.random.default_rng(config.seed)
     model = init_model(

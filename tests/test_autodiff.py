@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from kgmix import autodiff
 from kgmix.autodiff import (
     LEAKY_SLOPE,
     BatchNormState,
@@ -645,7 +646,8 @@ def dense_dz_grads(hs, e, lp, ptr, cols):
     """The gradients of mixture_xent for a unit adjoint, formed as its
     backward rule formed them before they moved into the forward: the
     forward keeps every exp(Z_k - max), and a fresh dense dZ_k is made
-    from each.  Same operations in the same order."""
+    from each.  Same operations in the same order, with dE summed over the
+    components in one stacked product, as one row block of the op does."""
     states = [h.value for h in hs]
     ent = e.value
     n, k = states[0].shape[0], len(states)
@@ -665,16 +667,15 @@ def dense_dz_grads(hs, e, lp, ptr, cols):
     ell = a.max(axis=0) + np.log(np.exp(a - a.max(axis=0)).sum(axis=0))
     rho = np.exp(a - ell)
     scale = np.ones((1, 1))[0, 0] / n
-    grads, d_ent = [], None
+    grads, dzs = [], []
     c = np.empty((n, k))
-    for j, (h, z, s) in enumerate(zip(states, exps, sums)):
+    for j, (z, s) in enumerate(zip(exps, sums)):
         c[:, j] = np.bincount(rows, weights=w * rho[j], minlength=n)
         dz = z * (scale * c[:, j : j + 1] / s)
         np.subtract.at(dz, (rows, cols), scale * w * rho[j])
         grads.append(dz @ ent)
-        de = dz.T @ h
-        d_ent = de if d_ent is None else d_ent + de
-    grads.append(d_ent)
+        dzs.append(dz)
+    grads.append((np.vstack(states).T @ np.vstack(dzs)).T)
     if lp is not None:
         grads.append(-scale * c)
     return grads
@@ -686,6 +687,63 @@ def test_mixture_xent_gradients_are_the_dense_dz_rule_bitwise(k):
     _, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
     for p, g, want in zip(params, got, dense_dz_grads(hs, e, lp, ptr, cols)):
         assert np.array_equal(g, want), p.name
+
+
+def blocked_case(monkeypatch, seed, k, n=30, n_ent=9, d=3):
+    """An xent_case whose rows span several blocks of mixture_xent, the
+    last of them ragged; every block holds at least two rows and labels."""
+    monkeypatch.setattr(autodiff, "XENT_ROWS", 12)
+    rb = 12 // k
+    assert n // rb >= 2 and 2 <= n % rb < rb
+    return xent_case(seed, k, n=n, n_ent=n_ent, d=d)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_blocked_mixture_xent_matches_unfused_composition(monkeypatch, k):
+    hs, e, lp, ptr, cols, params = blocked_case(monkeypatch, 28, k)
+    y = dense_labels(ptr, cols, e.value.shape[0])
+    shapes = []
+
+    def kernel(z):
+        shapes.append(z.shape)
+        return exp_shifted_rows(z)
+
+    monkeypatch.setattr(autodiff, "exp_shifted_rows", kernel)
+    got_loss, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
+    rb = 12 // k
+    assert shapes == [(k * rb, 9)] * (30 // rb) + [(k * (30 % rb), 9)]
+    want_loss, want = unfused_xent(
+        [h.value for h in hs], e.value, y, None if lp is None else lp.value
+    )
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for p, g, w in zip(params, got, want):
+        assert np.abs(g - w).max() <= 1e-12, p.name
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_blocked_mixture_xent_grads(monkeypatch, k):
+    hs, e, lp, ptr, cols, params = blocked_case(monkeypatch, 29, k)
+
+    def build(t):
+        return fused(t, hs, e, lp, ptr, cols)
+
+    assert finite_difference_check(build, params) <= FD_TOL
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_blocked_mixture_xent_is_the_dense_rule_bitwise(monkeypatch, k):
+    """Row blocks leave the value, dH and dlog_pi bitwise as one block
+    forms them; only dE, summed block by block, moves in the last bits."""
+    hs, e, lp, ptr, cols, params = blocked_case(monkeypatch, 30, k, n_ent=40, d=5)
+    loss, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
+    monkeypatch.setattr(autodiff, "XENT_ROWS", 10**6)
+    one_block = fused(Tape(), hs, e, lp, ptr, cols).value[0, 0]
+    assert loss == one_block
+    for p, g, want in zip(params, got, dense_dz_grads(hs, e, lp, ptr, cols)):
+        if p is e:
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert np.array_equal(g, want), p.name
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -1,5 +1,7 @@
 """Filtered ranking and filtered NLL against brute-force references and
 hand-worked probability values."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -481,6 +483,27 @@ def test_kernel_nll_matches_the_per_triple_loop(monkeypatch, seed, batch_size):
                 assert type(q["nll"]) is float
                 assert abs(q["nll"] - w) <= 1e-12 * max(1.0, abs(w))
         assert rep.n_skipped == sum(w is None for w in want)
+
+
+@pytest.mark.parametrize("rank_mode", ["optimistic", None])
+def test_kernel_holds_one_score_block(monkeypatch, rank_mode):
+    """When fn scores a batch, the block it returned for the previous batch
+    is already dead: a pass holds at most one score block."""
+    monkeypatch.setattr(evaluate, "BATCH_SIZE", 2)
+    store, score_fn, _ = _random_case(1)
+    blocks = []
+
+    def keeping(subs, rels):
+        assert all(b() is None for b in blocks)
+        z = np.array(score_fn(subs, rels), dtype=np.float64)
+        blocks.append(weakref.ref(z))
+        return z
+
+    want = _filtered_pass(score_fn, store, "test", ("train",), rank_mode)
+    got = _filtered_pass(keeping, store, "test", ("train",), rank_mode)
+    assert len(blocks) == -(-len(store.test) // 2) >= 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_candidate_ids_out_of_range_raise():

@@ -375,6 +375,17 @@ def test_every_way_to_make_a_store_gives_read_only_splits(toy_store, tmp_path):
     assert _filters(toy_store) == _filters(_fresh(toy_store))
 
 
+def test_copies_rebuild_read_only_keys(toy_store):
+    want = _filters(toy_store)  # caches the keys that the copies must not share
+    for clone in (copy.deepcopy(toy_store), pickle.loads(pickle.dumps(toy_store))):
+        assert clone._keys == {}
+        assert _filters(clone) == want
+        for splits in (("train",), ("train", "valid", "test")):
+            keys = clone.triple_keys(splits)
+            assert not keys.flags.writeable
+            assert np.array_equal(keys, toy_store.triple_keys(splits))
+
+
 def test_splits_stay_lists_and_replace_works(toy_store):
     """A split reads and compares as a list of int tuples, and
     dataclasses.replace swaps one split without touching the others."""

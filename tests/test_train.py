@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from kgmix import models
+from kgmix import autodiff, models
 from kgmix import train as train_mod
 from kgmix.autodiff import Parameter, Tape
 from kgmix.graph import TripleStore, build_query_index, query_labels
@@ -120,35 +120,43 @@ def test_loss_kept_past_its_tape_holds_only_its_value():
 
 
 def test_one_mos_epoch_holds_one_batch_of_scores():
-    """The traced peak of a MoS epoch, validation included, stays below
-    k + 1 dense (batch x entities) float arrays: the fused loss's one
-    (k, batch, entities) work buffer and no second batch's.  The allowance
-    of 24 (batch + entities) x d arrays covers the (batch x d) nodes and
-    the parameters with their gradients, Adam moments and scratch, and the
-    best-epoch snapshot."""
-    n_ent, batch, dim, k = 4000, 200, 4, 3
-    rng = np.random.default_rng(0)
+    """The traced peak of a MoS epoch, validation included, stays below one
+    (XENT_ROWS x entities) float block, the fused loss's one buffer,
+    whatever the batch size and k; plus two (valid x entities) float
+    blocks, validation's score block and the head's buffer beside it, and
+    a boolean one for the ranks; plus an allowance of 24 (batch + entities) x d
+    arrays for the (batch x d) nodes, the parameters with their gradients,
+    Adam moments and scratch, and the best-epoch snapshot.  In the second
+    case k * batch is nearly 8 XENT_ROWS, so a (k, batch, entities) buffer
+    would be nearly 8 blocks."""
+    dim, n_valid = 4, 20
+    for n_ent, batch, k in [(4000, 200, 3), (4000, 1000, 4)]:
+        rng = np.random.default_rng(0)
+        n_train = 3 * batch + 1  # at least four batches
+        queries = rng.permutation(2 * n_ent)[: n_train + n_valid]
+        triples = list(zip((queries // 2).tolist(), (queries % 2).tolist(),
+                           rng.integers(n_ent, size=len(queries)).tolist()))
+        store = TripleStore(entity_names=[f"e{i}" for i in range(n_ent)],
+                            relation_names=["r0", "r1"],
+                            train=triples[:n_train], valid=triples[n_train:], test=[])
+        cfg = TrainConfig(encoder="distmult", output_layer="mos", dim=dim, k=k,
+                          batch_size=batch, epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            result = train_loop(store, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.n_queries == n_train
+        block = autodiff.XENT_ROWS * n_ent * 8
+        valid = n_valid * n_ent * (2 * 8 + 1)
+        allowance = 24 * (batch + n_ent) * dim * 8
+        assert peak < block + valid + allowance, (peak - valid - allowance) / block
 
-    def triples(m):
-        return list(zip(rng.integers(n_ent, size=m).tolist(),
-                        rng.integers(2, size=m).tolist(),
-                        rng.integers(n_ent, size=m).tolist()))
 
-    store = TripleStore(entity_names=[f"e{i}" for i in range(n_ent)],
-                        relation_names=["r0", "r1"],
-                        train=triples(600), valid=triples(20), test=[])
-    cfg = TrainConfig(encoder="distmult", output_layer="mos", dim=dim, k=k,
-                      batch_size=batch, epochs=1, seed=0)
-    tracemalloc.start()
-    try:
-        result = train_loop(store, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.n_queries > 2 * batch  # at least three batches
-    block = batch * n_ent * 8
-    allowance = 24 * (batch + n_ent) * dim * 8
-    assert peak < (k + 1) * block + allowance, peak / block
+def test_allocator_setting_does_nothing_without_mallopt(monkeypatch):
+    monkeypatch.setattr(train_mod.ctypes, "CDLL", lambda name: object())
+    assert train_mod._keep_freed_heap() is None
 
 
 def test_mixture_batch_records_its_priors_once():
@@ -316,6 +324,13 @@ def test_training_is_bitwise_deterministic(toy_store, encoder, output_layer):
             assert np.array_equal(pa.value, pb.value)
     assert [r.train_loss for r in r1.history] == [r.train_loss for r in r2.history]
     assert [r.val_mrr for r in r1.history] == [r.val_mrr for r in r2.history]
+
+
+def test_blocked_mos_training_is_bitwise_deterministic(toy_store, monkeypatch):
+    """The same replay with each batch's fused loss in several row blocks:
+    k=2 components of 3 queries, in blocks of 2 queries and 1."""
+    monkeypatch.setattr(autodiff, "XENT_ROWS", 4)
+    test_training_is_bitwise_deterministic(toy_store, "rescal", "mos")
 
 
 def test_early_stop_keeps_best_epoch(toy_store):
