@@ -41,7 +41,7 @@ class Parameter:
     def __init__(self, name: str, value):
         self.name = name
         self.value = _as_value(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)  # unlike zeros_like, writes no page yet
 
     def zero_grad(self):
         self.grad[...] = 0.0

@@ -119,15 +119,19 @@ class TripleStore:
                     value = Triples(value)
                 except ValueError as e:
                     raise ValueError(f"split {name!r}: {e}") from None
-            bounds = (self.n_entities, self.n_relations, self.n_entities)
-            bad = ((value.array < 0) | (value.array >= bounds)).any(axis=1)
-            if bad.any():
-                i = int(bad.argmax())
-                raise ValueError(f"split {name!r}: row {i} {value[i]} holds an id outside "
-                                 f"[0, N) = [0, {bounds[0]}) or [0, R) = [0, {bounds[1]})")
+            self._check_ids(name, value)
             for combo in [c for c in self.__dict__.get("_keys", ()) if name in c]:
                 del self._keys[combo]  # frees the replaced split's keys
         super().__setattr__(name, value)
+
+    def _check_ids(self, name: str, triples: Triples) -> None:
+        """Name the split's first row holding an id past the label tables."""
+        bounds = (self.n_entities, self.n_relations, self.n_entities)
+        bad = ((triples.array < 0) | (triples.array >= bounds)).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"split {name!r}: row {i} {triples[i]} holds an id outside "
+                             f"[0, N) = [0, {bounds[0]}) or [0, R) = [0, {bounds[1]})")
 
     @property
     def n_entities(self) -> int:
@@ -150,12 +154,15 @@ class TripleStore:
         splits, built once per split combination (in any order) and rebuilt
         when N or R has changed since.  Read-only.  Reassigning a split
         drops the keys that hold it at once, so the store holds at most one
-        array per combination."""
+        array per combination.  Building checks the splits' ids against
+        the current N and R, which shrink if a label table does."""
         combo = tuple(sorted(set(splits)))
         shape = (self.n_entities, self.n_relations)
         hit = self._keys.get(combo)
         if hit and hit[0] == shape:
             return hit[1]
+        for s in combo:
+            self._check_ids(s, self.split(s))
         t = np.concatenate([self.split(s).array for s in combo] or [np.empty((0, 3), np.int64)])
         keys = sorted_unique((t[:, 0] * shape[1] + t[:, 1]) * shape[0] + t[:, 2])
         keys.flags.writeable = False

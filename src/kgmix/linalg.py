@@ -1,15 +1,17 @@
 """Matrix rank, numeric and exact, for certifying rank claims.
 
 Both routines take plain 2-D arrays: numerical_rank is a complete-pivoting
-float elimination, exact_rank a fractions.Fraction elimination.
+float elimination, exact_rank a fraction-free (Bareiss) elimination on
+Python ints.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
-# rows*cols limit for exact rational elimination; Fraction pivots grow fast
+# rows*cols limit for exact elimination: its Python-int work grows with the
+# cube of the side (a 64 x 64 0/1 matrix takes tens of milliseconds)
 EXACT_RANK_CELL_CAP = 4096
 
 
@@ -60,24 +62,16 @@ def numerical_rank(m, rel_tol: float = 1e-8) -> int:
     return int(sum(1 for p in pivots if p > cutoff))
 
 
-def _fraction_rows(m) -> list[list[Fraction]]:
-    a = np.asarray(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    rows = []
-    for r in a:
-        rows.append([Fraction(x) for x in r.tolist()])
-    return rows
-
-
 def exact_rank(m) -> int:
-    """Exact rank over the rationals: Gaussian elimination on
-    fractions.Fraction entries, taking the first nonzero entry of each
+    """Exact rank over the rationals: fraction-free (Bareiss) Gaussian
+    elimination on Python ints, taking the first nonzero entry of each
     column as its pivot.
 
-    Entries must be exactly representable (ints, bools, or floats that are
-    already rational, e.g. 0.5).  Capped at EXACT_RANK_CELL_CAP cells since
-    Fraction pivots grow quickly.
+    Entries must be exactly representable: ints, bools, or floats (already
+    rational, e.g. 0.5), which are scaled to integers row by row; a NaN or
+    infinite entry raises ValueError.  After each step every entry below
+    the pivots is a minor of the input, so dividing by the previous pivot
+    is exact.  Capped at EXACT_RANK_CELL_CAP cells.
     """
     a = np.asarray(m)
     if a.ndim != 2:
@@ -87,36 +81,31 @@ def exact_rank(m) -> int:
             f"matrix has {a.size} cells, exact elimination capped at "
             f"{EXACT_RANK_CELL_CAP}"
         )
-    rows = _fraction_rows(a)
-    n = len(rows)
-    k = len(rows[0]) if n else 0
-    rank = 0
-    col = 0
-    while rank < n and col < k:
-        pivot_row = None
-        for i in range(rank, n):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise ValueError(f"exact_rank: entry ({i}, {j}) is not finite")
+    rows = a.tolist()
+    if a.dtype.kind not in "biu":  # each row times the lcm of its denominators
+        for i, row in enumerate(rows):
+            ratios = [x.as_integer_ratio() for x in row]
+            q = math.lcm(*(den for _, den in ratios))
+            rows[i] = [num * (q // den) for num, den in ratios]
+    a = np.array(rows, dtype=object).reshape(a.shape)
+    n, k = a.shape
+    rank, prev = 0, 1
+    for col in range(k):
+        if rank == n:
+            break
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, n):
-            f = rows[i][col] / pv
-            if f != 0:
-                ri, rp = rows[i], rows[rank]
-                for j in range(col, k):
-                    ri[j] -= f * rp[j]
+        p = rank + int(nonzero[0])
+        a[[rank, p]] = a[[p, rank]]
+        pivot = a[rank, col]
+        below, right = slice(rank + 1, None), slice(col + 1, None)
+        a[below, right] = (
+            pivot * a[below, right] - np.multiply.outer(a[below, col], a[rank, right])
+        ) // prev
+        prev = pivot
         rank += 1
-        col += 1
     return rank
-
-
-def exact_rank_binary(m) -> int:
-    """Exact rational rank of a 0/1 matrix (validates entries first)."""
-    a = np.asarray(m)
-    if not np.isin(a, (0, 1)).all():
-        raise ValueError("matrix entries must all be 0 or 1")
-    return exact_rank(a)

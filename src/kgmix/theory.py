@@ -34,8 +34,8 @@ import numpy as np
 
 from . import linalg
 
-# cells past which verify_sign_decomposition skips the exact cross-check by
-# default: its integer Horner loop is Python, one cell at a time
+# cells past which verify_sign_decomposition skips the exact cross-check: its
+# product multiplies Python ints, one per cell and coefficient
 RATIONAL_CHECK_CELL_CAP = 256
 
 MAX_SIGN_ROWS = 16  # up to 2^N chambers, each with a stored witness
@@ -197,16 +197,16 @@ class SignVerification:
     rational_checked: bool
 
 
-def verify_sign_decomposition(adj, dec: SignDecomposition, rational=None) -> SignVerification:
+def verify_sign_decomposition(adj, dec: SignDecomposition) -> SignVerification:
     """Check sign(p_i(t)) against 2*adj - 1 on the whole grid.
 
     Factored float evaluation decides the signs (no coefficient-form
     cancellation), in one vectorized pass over the grid; a zero or NaN value
-    is a mismatch, and NaN stays out of min_margin.  When rational is True,
-    or None with a small enough grid, the dense coefficient form is also
-    evaluated exactly: Horner's rule on each row's integer coefficients
-    (RowSignPoly.integer_coefficients), whose positive scale leaves the
-    sign unchanged, must agree cell by cell.
+    is a mismatch, and NaN stays out of min_margin.  A grid of at most
+    RATIONAL_CHECK_CELL_CAP cells is also checked exactly: the rows'
+    integer coefficients (RowSignPoly.integer_coefficients, whose positive
+    scale leaves the signs unchanged) times the powers t**j, as one product
+    of Python ints, must have the target sign in every cell.
     """
     a = _validate_binary(adj)
     if a.shape != (dec.n_rows, dec.n_cols) or len(dec.rows) != dec.n_rows:
@@ -214,26 +214,20 @@ def verify_sign_decomposition(adj, dec: SignDecomposition, rational=None) -> Sig
     target = 2 * a - 1
     vals = _grid_values(dec.rows, dec.n_cols)
     bad = ~np.where(target > 0, vals > 0, vals < 0)
-    mismatches = list(map(tuple, np.argwhere(bad).tolist()))
     margins = np.abs(vals[~np.isnan(vals)])
     min_margin = float(margins.min()) if margins.size else math.inf
-    if rational is None:
-        rational = a.size <= RATIONAL_CHECK_CELL_CAP
+    rational = a.size <= RATIONAL_CHECK_CELL_CAP
     if rational:
-        for i, row in enumerate(dec.rows):
-            coeffs, _ = row.integer_coefficients(dec.width)
-            coeffs.reverse()
-            for t, want in enumerate(target[i].tolist(), start=1):
-                acc = 0
-                for c in coeffs:
-                    acc = acc * t + c
-                if (acc > 0) - (acc < 0) != want:
-                    mismatches.append((i, t - 1))
+        coeffs = [row.integer_coefficients(dec.width)[0] for row in dec.rows]
+        t = np.arange(1, dec.n_cols + 1).astype(object)
+        exact = np.array(coeffs, dtype=object) @ np.vander(t, dec.width, increasing=True).T
+        bad |= ~np.where(target > 0, exact > 0, exact < 0)
+    mismatches = list(map(tuple, np.argwhere(bad).tolist()))
     return SignVerification(
         ok=not mismatches,
         min_margin=min_margin,
-        mismatches=sorted(set(mismatches)),
-        rational_checked=bool(rational),
+        mismatches=mismatches,
+        rational_checked=rational,
     )
 
 
@@ -654,7 +648,7 @@ def dr_obstruction_check(target, dim: int) -> DrCheck:
     a = _validate_binary(target)
     if dim < 1:
         raise ValueError("dim must be positive")
-    rank = linalg.exact_rank_binary(a)
+    rank = linalg.exact_rank(a)
     return DrCheck(
         target_rank=rank, dim=dim, capacity=dim + 1, excluded=rank > dim + 1
     )

@@ -449,6 +449,16 @@ def test_keys_follow_new_entities_and_relations(toy_store):
     assert toy_store.triple_keys(("train",))[0] == (0 * 2 + 0) * 7 + 1
 
 
+def test_keys_reject_ids_past_shrunk_tables():
+    """A split valid when assigned that holds an id outside the label
+    tables once they shrink is named when its keys are built, not read as
+    a query with no objects."""
+    store = TripleStore(["a", "b", "c"], ["r"], train=[(1, 0, 2)], valid=[], test=[])
+    store.entity_names.pop()
+    with pytest.raises(ValueError, match=r"split 'train': row 0 \(1, 0, 2\)"):
+        filter_rows(store, ("train",), [0, 1], [0, 0])
+
+
 def test_split_keys_built_once_per_combination(toy_store, monkeypatch):
     """evaluate_model, then a candidate-pool ranking, then another split's
     evaluation sort each filter combination's triples once."""

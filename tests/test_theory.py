@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy
 
 from kgmix import theory
 from kgmix.linalg import numerical_rank
@@ -124,8 +123,8 @@ def test_sign_decompose_random_adjacencies(epsilon, merge):
         m = int(rng.integers(1, 9))
         adj = random_adjacency(n, m, int(rng.integers(0, 5)), rng)
         dec = sign_decompose(adj, epsilon, merge_blocks=merge)
-        ver = verify_sign_decomposition(adj, dec, rational=True)
-        assert ver.ok, (adj, ver.mismatches)
+        ver = verify_sign_decomposition(adj, dec)
+        assert ver.ok and ver.rational_checked, (adj, ver.mismatches)
         assert ver.min_margin > 0
 
 
@@ -188,9 +187,20 @@ def _loop_sign_matrix(dec):
     ).reshape(len(dec.rows), dec.n_cols)
 
 
-def _assert_matches_loops(adj, dec, rational=True):
-    ver = verify_sign_decomposition(adj, dec, rational=rational)
-    ok, margin, mismatches = _loop_verify(adj, dec, rational)
+def _float_only(adj, dec, monkeypatch):
+    """verify_sign_decomposition with its exact check cut off by a cap of
+    zero cells: the vectorized float pass alone."""
+    with monkeypatch.context() as m:
+        m.setattr(theory, "RATIONAL_CHECK_CELL_CAP", 0)
+        ver = verify_sign_decomposition(adj, dec)
+    assert not ver.rational_checked
+    return ver
+
+
+def _assert_matches_loops(adj, dec):
+    ver = verify_sign_decomposition(adj, dec)
+    ok, margin, mismatches = _loop_verify(adj, dec, rational=True)
+    assert ver.rational_checked
     assert ver.ok == ok
     assert ver.mismatches == mismatches
     assert ver.min_margin == margin  # bitwise, not approximately
@@ -221,7 +231,7 @@ def test_verify_matches_scalar_loops(epsilon, merge):
 @pytest.mark.parametrize(
     "epsilon", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(2, 7)]
 )
-def test_tampered_roots_are_flagged_by_both_branches(epsilon):
+def test_tampered_roots_are_flagged_by_both_branches(epsilon, monkeypatch):
     rng = np.random.default_rng(5)
     flagged = 0
     for _ in range(30):
@@ -235,7 +245,7 @@ def test_tampered_roots_are_flagged_by_both_branches(epsilon):
         row = dec.rows[i]
         lo = row.roots[0] + epsilon
         row.roots[1] = lo - Fraction(1, 5)
-        float_only = verify_sign_decomposition(adj, dec, rational=False)
+        float_only = _float_only(adj, dec, monkeypatch)
         assert (i, int(lo) - 1) in float_only.mismatches
         ver = _assert_matches_loops(adj, dec)
         assert not ver.ok and (i, int(lo) - 1) in ver.mismatches
@@ -252,6 +262,24 @@ def test_exact_branch_flags_what_the_float_pass_misses():
     ver = _assert_matches_loops(adj, dec)
     assert ver.mismatches == [(0, 1)]
     assert ver.min_margin == 0.0
+
+
+def test_exact_check_flags_a_wrong_coefficient_row(monkeypatch):
+    """Integer coefficients that disagree with the row's roots pass the
+    float pass, which reads the roots; the exact product flags exactly the
+    cells where the coefficients take the wrong sign."""
+    adj = np.array([[0, 1, 0, 0, 1, 0, 0], [1, 0, 0, 1, 1, 0, 0], [0, 0, 1, 0, 0, 0, 1]])
+    dec = sign_decompose(adj)
+    assert dec.rows[1].roots == [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), Fraction(11, 2)]
+    # the block [4, 5] shrunk to [5, 5]: negative at t = 4 only
+    wrong = RowSignPoly(sigma=-1, roots=[
+        Fraction(1, 2), Fraction(3, 2), Fraction(9, 2), Fraction(11, 2)
+    ]).integer_coefficients(dec.width)
+    monkeypatch.setattr(dec.rows[1], "integer_coefficients", lambda width: wrong)
+    assert _float_only(adj, dec, monkeypatch).ok
+    ver = verify_sign_decomposition(adj, dec)
+    assert ver.rational_checked and not ver.ok
+    assert ver.mismatches == [(1, 3)]
 
 
 def test_integer_coefficients_with_mixed_denominators():
@@ -275,16 +303,16 @@ def test_integer_coefficients_with_mixed_denominators():
     assert ver.ok
 
 
-def test_degree_above_width_still_raises():
+def test_degree_above_width_still_raises(monkeypatch):
     adj = np.array([[0, 1, 0, 0, 0]])
     dec = sign_decompose(adj)
     dec.rows[0].roots += [Fraction(7, 2), Fraction(9, 2)]  # degree 4, width 3
     with pytest.raises(ValueError, match="width"):
         dec.coefficient_matrix_exact()
     with pytest.raises(ValueError, match="width"):
-        verify_sign_decomposition(adj, dec, rational=True)
+        verify_sign_decomposition(adj, dec)
     # the float pass alone needs no dense form
-    float_only = verify_sign_decomposition(adj, dec, rational=False)
+    float_only = _float_only(adj, dec, monkeypatch)
     ok, margin, mismatches = _loop_verify(adj, dec, rational=False)
     assert (float_only.ok, float_only.min_margin, float_only.mismatches) == (ok, margin, mismatches)
 
@@ -745,6 +773,7 @@ def test_dr_obstruction_boundary():
 
 
 def test_dr_obstruction_rank_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(13)
     for _ in range(30):
         n = int(rng.integers(1, 8))
@@ -756,8 +785,9 @@ def test_dr_obstruction_rank_matches_sympy_oracle():
 
 
 def test_dr_obstruction_validation():
-    with pytest.raises(ValueError, match="0 or 1"):
-        dr_obstruction_check(np.array([[2]]), 1)
+    for bad in ([[2]], [[0, 2]], [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            dr_obstruction_check(np.array(bad), 1)
     with pytest.raises(ValueError, match="positive"):
         dr_obstruction_check(np.array([[1]]), 0)
 
