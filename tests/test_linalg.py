@@ -71,6 +71,15 @@ def test_exact_rank_values():
     assert linalg.exact_rank(np.array([[2**62, 1], [1, 2**62]])) == 2
 
 
+def test_exact_rank_binary_validates_entries():
+    # the exact rank of a 0/1 target is taken by dr_obstruction_check, which
+    # rejects any other entry before exact_rank sees the matrix
+    from kgmix.theory import dr_obstruction_check
+    for bad in ([[0, 2]], [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            dr_obstruction_check(np.array(bad), 1)
+
+
 def _random_exact_matrix(rng, kind):
     n, m = (int(x) for x in rng.integers(0, 9, size=2))
     if kind == "int":
