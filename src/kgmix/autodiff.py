@@ -214,7 +214,7 @@ class Tape:
     # ---- nonlinearities ----
 
     def leaky_relu(self, x: Node) -> Node:
-        value = np.where(x.value > 0, x.value, LEAKY_SLOPE * x.value)
+        value = np.maximum(x.value, LEAKY_SLOPE * x.value)  # = where(x > 0, x, slope*x)
         return self._record("leaky_relu", value, (x,))
 
     def dropout(self, x: Node, mask: np.ndarray) -> Node:

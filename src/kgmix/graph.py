@@ -11,7 +11,8 @@ and compares as a list of (s, r, o) tuples.  The store builds the sorted
 (s*R + r)*N + o keys of a split combination once and keeps them until one
 of those splits is reassigned; filter_rows and query_labels read them, so
 repeated filtered evaluation of one store sorts its triples only once per
-combination.
+combination.  A QueryIndex is a view of query_labels' CSR arrays: it holds
+no per-query Python objects and finds a query by binary search.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -201,7 +203,7 @@ def load_triples(path: str, strict: bool = False) -> TripleStore:
     relation_names: list[str] = []
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
-    splits: dict[str, list[Triple]] = {"train": [], "valid": [], "test": []}
+    splits = dict.fromkeys(SPLITS, np.empty((0, 3), np.int64))
     unseen = []
 
     for split_name, file_path in files:
@@ -223,10 +225,12 @@ def load_triples(path: str, strict: bool = False) -> TripleStore:
                     relation_ids[r] = len(relation_names)
                     relation_names.append(r)
                 rows.append((entity_ids[s], relation_ids[r], entity_ids[o]))
-        splits[split_name] = list(dict.fromkeys(rows))  # first copies, in file order
-        if len(rows) > len(splits[split_name]):
-            warnings.warn(f"{file_path}: dropped {len(rows) - len(splits[split_name])} "
-                          "duplicate lines")
+        unique = list(dict.fromkeys(rows))  # first copies, in file order
+        if len(rows) > len(unique):
+            warnings.warn(f"{file_path}: dropped {len(rows) - len(unique)} duplicate lines")
+        # every row is three ints built above, so no per-row check is needed
+        splits[split_name] = np.fromiter(chain.from_iterable(unique), np.int64,
+                                         3 * len(unique)).reshape(-1, 3)
 
     if unseen:
         msg = (
@@ -266,34 +270,43 @@ def augment_inverse(store: TripleStore) -> TripleStore:
                        **{name: flip(name) for name in SPLITS}, inverse_augmented=True)
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryIndex:
-    """Maps (subject, relation) to the sorted unique true objects."""
+    """The sorted unique (subject, relation) queries of some splits and
+    their sorted true objects, held as the CSR arrays query_labels returns:
+    query i is (subjects[i], relations[i]) and its objects are
+    cols[ptr[i]:ptr[i + 1]]."""
 
-    objects: dict[tuple[int, int], list[int]]
+    subjects: np.ndarray
+    relations: np.ndarray
+    ptr: np.ndarray
+    cols: np.ndarray
     splits: tuple[str, ...]
 
     def get(self, s: int, r: int) -> list[int]:
-        return self.objects.get((s, r), [])
+        """The true objects of (s, r), or [] for a query not indexed.  The
+        queries sort by subject, then relation, so two binary searches find
+        the row, and an id out of range matches none."""
+        lo, hi = np.searchsorted(self.subjects, (s, s + 1))
+        i = lo + int(np.searchsorted(self.relations[lo:hi], r))
+        if i == hi or (self.subjects[i], self.relations[i]) != (s, r):
+            return []
+        return self.cols[self.ptr[i] : self.ptr[i + 1]].tolist()
 
     def queries(self) -> list[tuple[int, int]]:
-        return sorted(self.objects)
+        return list(zip(self.subjects.tolist(), self.relations.tolist()))
 
     @property
     def n_queries(self) -> int:
-        return len(self.objects)
+        return self.subjects.size
 
     @property
     def n_triples(self) -> int:
-        return sum(len(v) for v in self.objects.values())
+        return self.cols.size
 
 
 def build_query_index(store: TripleStore, splits=("train",)) -> QueryIndex:
-    subs, rels, ptr, cols = query_labels(store, splits)
-    cols, ptr = cols.tolist(), ptr.tolist()
-    queries = zip(subs.tolist(), rels.tolist())
-    objects = {q: cols[a:b] for q, a, b in zip(queries, ptr, ptr[1:])}
-    return QueryIndex(objects=objects, splits=tuple(splits))
+    return QueryIndex(*query_labels(store, splits), splits=tuple(splits))
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:

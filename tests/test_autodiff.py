@@ -154,6 +154,18 @@ def test_leaky_relu_grads():
     assert np.array_equal(x.grad, w * np.where(vals > 0, 1.0, LEAKY_SLOPE))
 
 
+def test_leaky_relu_value_is_bitwise_the_where_form():
+    """max(x, slope*x) equals where(x > 0, x, slope*x) bit for bit for a
+    slope in (0, 1), at the signed zeros, infinities, NaNs and subnormals."""
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+               2.2e-308, -2.2e-308, 1e308, -1e308, 1.0, -1.0]
+    vals = np.concatenate([special, np.random.default_rng(9).standard_normal(500)])[None, :]
+    t = Tape()
+    got = t.leaky_relu(t.constant(vals)).value
+    assert 0 < LEAKY_SLOPE < 1
+    assert got.tobytes() == np.where(vals > 0, vals, LEAKY_SLOPE * vals).tobytes()
+
+
 def test_softmax_family_grads():
     rng = np.random.default_rng(8)
     x = Parameter("x", rng.standard_normal((4, 6)))

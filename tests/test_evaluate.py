@@ -16,7 +16,7 @@ from kgmix.evaluate import (
     filtered_nll,
     ranking_metrics,
 )
-from kgmix.graph import TripleStore, build_query_index, filter_rows
+from kgmix.graph import TripleStore, filter_rows
 
 
 def filtered_rank(scores, true_id: int, filter_ids=(), mode: str = "optimistic") -> int:
@@ -85,9 +85,11 @@ def _score_table(store, seed=0):
     return table, score_fn
 
 
-def _all_true(store):
+def _all_true(store, splits=("train", "valid", "test")):
+    """(s, r) -> set of true objects in the splits, by a loop over the raw
+    split rows."""
     true = {}
-    for sp in ("train", "valid", "test"):
+    for sp in splits:
         for s, r, o in store.split(sp):
             true.setdefault((s, r), set()).add(o)
     return true
@@ -378,12 +380,11 @@ def test_evaluate_model_nll_from_scores_matches_log_probs(toy_store, monkeypatch
 
 def _loop_ranks(score_fn, store, split, mode, candidates):
     """The per-triple filtered-rank loop, one filtered_rank call per triple."""
-    index = build_query_index(store, ("train", "valid", "test"))
+    true = _all_true(store)
     ranks = []
     for i, (s, r, o) in enumerate(store.split(split)):
         z = score_fn(np.array([s]), np.array([r]))[0]
-        drop = set(index.get(s, r))
-        drop.discard(o)
+        drop = true[(s, r)] - {o}
         if candidates is not None:
             pool = set(candidates[i])
             pool.add(o)
@@ -394,10 +395,10 @@ def _loop_ranks(score_fn, store, split, mode, candidates):
 
 def _loop_nll(logp_fn, store, split, filter_splits):
     """The per-triple filtered-NLL loop; None marks a skipped triple."""
-    index = build_query_index(store, filter_splits)
+    true = _all_true(store, filter_splits)
     out = []
     for s, r, o in store.split(split):
-        drop = index.get(s, r)
+        drop = sorted(true.get((s, r), ()))
         if o in drop:
             out.append(None)
             continue

@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 import weakref
 
@@ -125,13 +126,29 @@ def test_augment_suffix_clash_rejected(toy_store):
         augment_inverse(toy_store)
 
 
+def _true_objects(store, splits):
+    """(s, r) -> set of true objects in the splits, by a loop over the raw
+    split rows: the reference for the query index and filter rows."""
+    true = {}
+    for name in splits:
+        for s, r, o in store.split(name):
+            true.setdefault((s, r), set()).add(o)
+    return true
+
+
 def test_query_index_recovers_unique_triples(toy_store):
-    idx = build_query_index(toy_store, ("train", "valid", "test"))
-    flat = {(s, r, o) for (s, r), objs in idx.objects.items() for o in objs}
-    assert flat == set(toy_store.all_triples())
-    for objs in idx.objects.values():
-        assert objs == sorted(set(objs))
-    assert idx.n_triples == len(set(toy_store.all_triples()))
+    toy_store.test = [*toy_store.test, toy_store.train[0]]  # a duplicate across splits
+    for splits in [(), ("train",), ("valid", "test"), ("train", "valid", "test")]:
+        idx = build_query_index(toy_store, splits)
+        want = _true_objects(toy_store, splits)
+        assert idx.splits == splits
+        assert idx.queries() == sorted(want)  # sorted, as Python ints
+        assert all(type(x) is int for q in idx.queries() for x in q)
+        for s, r in idx.queries():
+            assert idx.get(s, r) == sorted(want[(s, r)])
+        assert idx.n_queries == len(want)
+        assert idx.n_triples == sum(map(len, want.values()))
+    assert idx.n_triples == 12
 
 
 def test_query_index_deduplicates_across_splits(toy_store):
@@ -144,18 +161,55 @@ def test_query_index_deduplicates_across_splits(toy_store):
 @pytest.mark.parametrize("splits", [(), ("train",), ("train", "valid", "test")])
 def test_filter_rows_equal_the_query_index(toy_store, splits):
     toy_store.test = [*toy_store.test, toy_store.train[0]]  # a duplicate across splits
+    want = _true_objects(toy_store, splits)
     idx = build_query_index(toy_store, splits)
     subs, rels = np.meshgrid(np.arange(6), np.arange(2), indexing="ij")
     subs, rels = subs.ravel(), rels.ravel()  # every query, known or not
     ptr, cols = filter_rows(toy_store, splits, subs, rels)
     assert ptr[0] == 0 and len(ptr) == len(subs) + 1
     for i, (s, r) in enumerate(zip(subs.tolist(), rels.tolist())):
-        assert cols[ptr[i] : ptr[i + 1]].tolist() == idx.get(s, r)
+        row = sorted(want.get((s, r), ()))
+        assert cols[ptr[i] : ptr[i + 1]].tolist() == row
+        assert idx.get(s, r) == row
 
 
 def test_query_index_get_default(toy_store):
     idx = build_query_index(toy_store, ("train",))
     assert idx.get(5, 1) == []
+
+
+def test_query_index_get_rejects_ids_out_of_range(toy_store):
+    idx = build_query_index(toy_store, ("train", "valid", "test"))
+    assert idx.get(1, 0) == [2, 4]
+    # with R = 2, (0, 2) has the key 0*2 + 2 of (1, 0), and (2, -1) that of (1, 1);
+    # 0.5 sorts between subjects 0 and 1
+    assert idx.get(0, 2) == [] and idx.get(2, -1) == [] and idx.get(0.5, 0) == []
+    assert idx.get(0, 5) == [] and idx.get(6, 0) == [] and idx.get(10**30, 1) == []
+    assert idx.get(-1, 0) == [] and idx.get(-1, 1) == [] and idx.get(-3, 7) == []
+    empty = build_query_index(toy_store, ())
+    assert empty.n_queries == empty.n_triples == 0 and empty.queries() == []
+    assert empty.get(0, 0) == []
+
+
+def test_query_index_holds_only_its_arrays():
+    """After build_query_index, the index holds little more memory than its
+    four CSR arrays: no per-query Python objects."""
+    rng = np.random.default_rng(7)
+    n_ent, n_rel, n = 4000, 40, 20_000
+    triples = np.unique(np.stack([rng.integers(n_ent, size=n), rng.integers(n_rel, size=n),
+                                  rng.integers(n_ent, size=n)], axis=1), axis=0)
+    store = TripleStore([f"e{i}" for i in range(n_ent)], [f"r{i}" for i in range(n_rel)],
+                        train=triples, valid=[], test=[])
+    store.triple_keys(("train",))  # the store's cached keys are not the index's
+    tracemalloc.start()
+    try:
+        idx = build_query_index(store, ("train",))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = idx.subjects.nbytes + idx.relations.nbytes + idx.ptr.nbytes + idx.cols.nbytes
+    assert idx.n_triples == len(triples) > 19_000
+    assert held <= 1.5 * arrays, (held, arrays)
 
 
 def test_degree_stats_hand_counted(toy_store):
@@ -172,9 +226,10 @@ def test_degree_stats_hand_counted(toy_store):
 def test_degree_sum_equals_indexed_triples(toy_store):
     toy_store.test = [*toy_store.test, toy_store.train[0]]
     stats = degree_stats(toy_store)
-    idx = build_query_index(toy_store, ("train", "valid", "test"))
-    assert stats.triples == idx.n_triples
-    assert stats.pairs == idx.n_queries
+    want = _true_objects(toy_store, ("train", "valid", "test"))
+    assert stats.triples == sum(map(len, want.values())) == 12
+    assert stats.pairs == len(want)
+    assert stats.max == max(map(len, want.values()))
 
 
 def test_degree_stats_empty():

@@ -26,12 +26,17 @@ from kgmix.train import (
 def test_query_labels_follow_query_index(toy_store):
     toy_store.test = [*toy_store.test, toy_store.train[0]]  # a duplicate across splits
     for splits in [(), ("train",), ("train", "valid", "test")]:
+        want = {}  # the reference: a loop over the raw split rows
+        for name in splits:
+            for s, r, o in toy_store.split(name):
+                want.setdefault((s, r), set()).add(o)
         subs, rels, ptr, cols = query_labels(toy_store, splits)
         index = build_query_index(toy_store, splits)
-        assert list(zip(subs.tolist(), rels.tolist())) == index.queries()
-        assert len(ptr) == index.n_queries + 1 and ptr[-1] == index.n_triples
+        assert list(zip(subs.tolist(), rels.tolist())) == index.queries() == sorted(want)
+        assert len(ptr) == index.n_queries + 1 and ptr[0] == 0
+        assert ptr[-1] == index.n_triples == sum(map(len, want.values()))
         for i, (s, r) in enumerate(index.queries()):
-            assert cols[ptr[i] : ptr[i + 1]].tolist() == index.get(s, r)
+            assert cols[ptr[i] : ptr[i + 1]].tolist() == index.get(s, r) == sorted(want[(s, r)])
     subs, rels, ptr, cols = query_labels(toy_store, ("train",))
     i = list(zip(subs.tolist(), rels.tolist())).index((0, 0))
     assert cols[ptr[i] : ptr[i + 1]].tolist() == [1, 2]  # (0, r0) -> {1, 2}
