@@ -3,13 +3,15 @@
 Every operation the models need is a Tape method that appends a Node and
 returns it.  backward() walks the tape once in reverse, accumulating
 adjoints into Parameter.grad.  The op set is deliberately closed: it holds
-exactly the ops that training (train.batch_loss) and inference
-(models.Scorer) record, each has a hand-written adjoint, and
-finite_difference_check certifies all of them against central
-differences.  Elementwise ops take equal shapes; nothing broadcasts.  The
-training loss is one fused op, mixture_xent, and the inference head is
-numpy (mos.head_log_probs), so no (batch x entities) matrix goes on any
-tape; both, and evaluation's filtered NLL, call exp_shifted_rows.
+the ops that training (train.batch_loss) and inference (models.Scorer)
+record, plus weighted_sum, the 1x1 readout that reduces any node to a loss
+for tests and the benchmark's tracer test.  Each has a hand-written
+adjoint, and finite_difference_check certifies all of them against
+central differences.  Elementwise ops take equal shapes; nothing
+broadcasts.  The whole training objective, cross-entropy less the
+weighted prior entropy, is one fused op, mixture_xent, and the inference
+head is numpy (mos.head_log_probs), so no (batch x entities) matrix goes
+on any tape; both, and evaluation's filtered NLL, call exp_shifted_rows.
 mixture_xent forms its gradients in its forward pass, walking the batch
 in blocks of query rows with all k components of a row in one block, in
 one (XENT_ROWS x entities) buffer that is freed when the forward returns;
@@ -185,10 +187,6 @@ class Tape:
             raise ValueError(f"matmul shapes disagree: {a.value.shape} x {b.value.shape}^T")
         return self._record("matmul", a.value @ b.value.T, (a, b))
 
-    def subtract(self, a: Node, b: Node) -> Node:
-        _same_shape("subtract", a, b)
-        return self._record("subtract", a.value - b.value, (a, b))
-
     def hadamard(self, a: Node, b: Node) -> Node:
         _same_shape("hadamard", a, b)
         return self._record("hadamard", a.value * b.value, (a, b))
@@ -250,18 +248,6 @@ class Tape:
     def row_log_softmax(self, x: Node) -> Node:
         return self._record("row_log_softmax", log_softmax_rows(x.value.copy()), (x,))
 
-    def row_entropy(self, log_p: Node) -> Node:
-        """Entropy -sum_j p_j log p_j of each row, (n, 1), from log p; an
-        entry with p = 0 (log p = -inf) adds 0 to the value and gradient."""
-        lp = log_p.value
-        if not (lp < np.inf).all():
-            raise ValueError("row_entropy needs log-probabilities: no NaN or +inf")
-        p = np.exp(lp)
-        with np.errstate(invalid="ignore"):
-            plogp = np.where(p > 0, p * lp, 0.0)
-        value = -plogp.sum(axis=1, keepdims=True)
-        return self._record("row_entropy", value, (log_p,), {"p": p})
-
     def weighted_sum(self, x: Node, weight: float = 1.0) -> Node:
         """weight * sum of all entries, as a 1x1 node."""
         value = np.array([[weight * float(x.value.sum())]])
@@ -270,25 +256,30 @@ class Tape:
     # ---- fused loss ----
 
     def mixture_xent(
-        self, states: list[Node], entities: Node, ptr, cols, log_pi: Node | None = None
+        self, states: list[Node], entities: Node, ptr, cols,
+        log_pi: Node | None = None, entropy_weight: float = 0.0,
     ) -> Node:
-        """Mean cross-entropy of a mixture of softmaxes against CSR labels.
+        """Mean cross-entropy of a mixture of softmaxes against CSR labels,
+        less entropy_weight times the mean entropy of the prior rows.
 
         Component k scores Z_k = states[k] @ entities^T and has the log-prior
         column log_pi[:, k]; log_pi=None means one component with prior 1,
-        the plain softmax.  Row i's labels are cols[ptr[i]:ptr[i + 1]], each
-        weighted 1 / (ptr[i + 1] - ptr[i]).  With a_k = log_pi_k + Z_k -
-        lse_k gathered at the label entries, the loss is the weighted mean
-        of -logsumexp_k a_k.  Only the label entries of the mixture are ever
-        formed, from the responsibilities rho_k = pi_k p_k / p there.  The
-        rows are walked in blocks of XENT_ROWS // k queries, and a block
-        holds every component of its rows, stacked in one reused (k * rows)
-        x N buffer, so each row's normalisers and rho are exact within its
-        block.  The block is exponentiated in place and then turned in place
-        into its dZ rows, from which the gradients for a unit upstream
-        adjoint are formed at once.  The ctx keeps only those, (n x d), (N x
-        d) and (n x k) arrays; the buffer, at most XENT_ROWS x N, is freed
-        when the forward returns.
+        the plain softmax, and no entropy term.  Row i's labels are
+        cols[ptr[i]:ptr[i + 1]], each weighted 1 / (ptr[i + 1] - ptr[i]).
+        With a_k = log_pi_k + Z_k - lse_k gathered at the label entries, the
+        cross-entropy is the weighted mean of -logsumexp_k a_k.  The entropy
+        of prior row i is -sum_k pi_ik log pi_ik, where an entry with pi = 0
+        adds 0 to the value and the gradient.  Only the label entries of the
+        mixture are ever formed, from the responsibilities rho_k = pi_k p_k
+        / p there.  The rows are walked in blocks of XENT_ROWS // k queries,
+        and a block holds every component of its rows, stacked in one
+        reused (k * rows) x N buffer, so each row's normalisers and rho are
+        exact within its block.  The block is exponentiated in place and
+        then turned in place into its dZ rows, from which the gradients for
+        a unit upstream adjoint are formed at once; the entropy's gradient
+        joins dlog_pi after the last block.  The ctx keeps only those, (n x
+        d), (N x d) and (n x k) arrays; the buffer, at most XENT_ROWS x N,
+        is freed when the forward returns.
         """
         if not states or states[0].value.shape[0] == 0:
             raise ValueError("mixture_xent needs at least one component and one row")
@@ -305,6 +296,10 @@ class Tape:
             raise ValueError("mixture_xent needs log_pi for more than one component")
         if log_pi is not None and log_pi.value.shape != (n, k):
             raise ValueError(f"log_pi must be ({n}, {k}), got {log_pi.value.shape}")
+        if not (entropy_weight >= 0 and np.isfinite(entropy_weight)):
+            raise ValueError(
+                f"entropy_weight must be finite and non-negative, got {entropy_weight}"
+            )
         ptr = np.asarray(ptr)
         cols = np.asarray(cols)
         if ptr.ndim != 1 or ptr.shape[0] != n + 1 or ptr.dtype.kind not in "iu":
@@ -363,10 +358,21 @@ class Tape:
                 np.matmul(z[j * m : (j + 1) * m], ent, out=d_states[j][r0:r1])
             de = hb.T @ z
             d_ent = de if d_ent is None else np.add(d_ent, de, out=d_ent)
-        value = np.array([[(-1.0 / n) * float((w * ell).sum())]])
+        value = (-1.0 / n) * float((w * ell).sum())
         grads = [*d_states, d_ent.T]
         if log_pi is not None:
-            grads.append(-scale * c)
+            d_pi = -scale * c
+            if entropy_weight > 0:
+                # row entropies H_i = -sum_k pi_ik lp_ik, their mean taken
+                # as (1/n) * sum_i H_i, and the gradient of -w * mean H,
+                # (w / n) pi (1 + lp)
+                p = np.exp(lp)
+                with np.errstate(invalid="ignore"):
+                    ent_rows = -np.where(p > 0, p * lp, 0.0).sum(axis=1, keepdims=True)
+                    d_pi += np.where(p > 0, (scale * entropy_weight) * p * (1.0 + lp), 0.0)
+                value -= entropy_weight * (scale * float(ent_rows.sum()))
+            grads.append(d_pi)
+        value = np.array([[value]])
         parents = (*states, entities) + (() if log_pi is None else (log_pi,))
         return self._record("mixture_xent", value, parents, {"grads": grads})
 
@@ -378,11 +384,10 @@ class Tape:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.shape != (1, 1):
             raise ValueError("backward expects a 1x1 loss node")
-        # An adjoint may alias another node's adjoint (subtract hands g
-        # itself to its first parent, concat_cols hands out views of it),
-        # so none is ever updated in place: the first one a node receives
-        # is kept as it is, later ones are summed into a new array, and
-        # each is dropped once it has been passed on.
+        # An adjoint may alias another node's adjoint (concat_cols hands
+        # out views of it), so none is ever updated in place: the first one
+        # a node receives is kept as it is, later ones are summed into a
+        # new array, and each is dropped once it has been passed on.
         adjoints: list[np.ndarray | None] = [None] * len(self.nodes)
         adjoints[loss.idx] = np.ones((1, 1))
         for node in reversed(self.nodes):
@@ -414,8 +419,6 @@ def _backward_rule(node: Node, g: np.ndarray):
         return (g[:, :s], g[:, s:])
     if op == "matmul":
         return (g @ a[1].value, g.T @ a[0].value)
-    if op == "subtract":
-        return (g, -g)
     if op == "hadamard":
         return (g * a[1].value, g * a[0].value)
     if op == "affine":
@@ -455,10 +458,6 @@ def _backward_rule(node: Node, g: np.ndarray):
     if op == "row_log_softmax":
         soft = np.exp(node.value)
         return (g - soft * g.sum(axis=1, keepdims=True),)
-    if op == "row_entropy":
-        p = node.ctx["p"]
-        with np.errstate(invalid="ignore"):
-            return (np.where(p > 0, -g * p * (1.0 + a[0].value), 0.0),)
     if op == "weighted_sum":
         w = node.ctx["weight"]
         return (np.full_like(a[0].value, w * g[0, 0]),)

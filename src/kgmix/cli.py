@@ -62,9 +62,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    store = load_triples(args.dataset)
-    if not args.no_inverses:
-        store = augment_inverse(store)
     config = TrainConfig(
         encoder=args.encoder,
         output_layer=args.output_layer,
@@ -78,6 +75,10 @@ def cmd_train(args) -> int:
         entropy_weight=args.entropy_weight,
         seed=args.seed,
     )
+    config.validate()  # before anything is written
+    store = load_triples(args.dataset)
+    if not args.no_inverses:
+        store = augment_inverse(store)
     os.makedirs(args.out, exist_ok=True)
 
     history_path = os.path.join(args.out, "history.jsonl")

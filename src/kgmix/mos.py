@@ -6,7 +6,7 @@ of H, with query-dependent priors; for K >= 2 the blend is no longer
 log-linear in H and escapes that rank ceiling.  mixture_states, the one
 forward of both layers, builds the log-priors and the projected states on
 a tape, with the one leaky-relu slope autodiff.LEAKY_SLOPE; training feeds
-them to the fused Tape.mixture_xent loss and the prior entropy, and
+them to the fused Tape.mixture_xent loss, prior entropy term included, and
 inference feeds their values to head_log_probs.  That head mixes the
 components in probability space, p = sum_k pi_k softmax(Z_k) (Yang et al.
 2018), under a per-row shift, and falls back to log space only for rows

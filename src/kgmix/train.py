@@ -3,17 +3,18 @@
 The batch unit is a query, not a triple: each query's label row spreads
 probability mass uniformly over its true objects.  Label rows are CSR
 (built once per run with numpy).  Both output layers run mixture_states
-and the fused Tape.mixture_xent, so no (batch x entities) matrix goes on
-the tape, and the prior entropy reads the recorded log-priors.  Shuffling
-is replayable because each epoch draws from a counter-based Philox stream
-keyed by (seed, epoch); runs with equal configs are bitwise identical for
-a fixed thread count.
+and the fused Tape.mixture_xent, which forms the whole objective, prior
+entropy term included, from the recorded states and log-priors, so no
+(batch x entities) matrix goes on the tape.  Shuffling is replayable
+because each epoch draws from a counter-based Philox stream keyed by
+(seed, epoch); runs with equal configs are bitwise identical for a fixed
+thread count.
 """
 from __future__ import annotations
 
 import ctypes
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,22 +59,16 @@ class TrainConfig:
             raise ValueError(f"unknown output layer {self.output_layer!r}")
         if self.dim < 1 or self.k < 1:
             raise ValueError("dim and k must be positive")
-        if self.lr is not None and self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if self.lr is not None and not (self.lr > 0 and np.isfinite(self.lr)):
+            raise ValueError("lr must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.epochs < 0 or self.patience < 1:
             raise ValueError("need epochs >= 0 and patience >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.entropy_weight < 0:
-            raise ValueError("entropy_weight must be non-negative")
-
-
-def entropy_reg(log_pi: Node, tape: Tape) -> Node:
-    """Mean Shannon entropy of the prior rows (a 1x1 node), read from the
-    (batch, k) log-priors that mixture_states recorded."""
-    return tape.weighted_sum(tape.row_entropy(log_pi), 1.0 / log_pi.value.shape[0])
+        if not (self.entropy_weight >= 0 and np.isfinite(self.entropy_weight)):
+            raise ValueError("entropy_weight must be non-negative and finite")
 
 
 def batch_loss(
@@ -87,10 +82,10 @@ def batch_loss(
     tape: Tape,
     rng: np.random.Generator,
 ) -> Node:
-    """One batch's training loss: the cross-entropy of the output layer
-    against the CSR label rows, less entropy_weight times the mean prior
-    entropy for a mixture.  Dropout masks are drawn from rng in a fixed
-    order (H, then each component)."""
+    """One batch's training loss, one mixture_xent node: the cross-entropy
+    of the output layer against the CSR label rows, less entropy_weight
+    times the mean prior entropy for a mixture.  Dropout masks are drawn
+    from rng in a fixed order (H, then each component)."""
     h = encode(
         model, subjects, relations, tape, training=True,
         dropout=config.dropout, rng=rng,
@@ -98,11 +93,10 @@ def batch_loss(
     log_pi, states = mixture_states(
         mos, h, tape, training=True, dropout=config.dropout, rng=rng,
     )
-    loss = tape.mixture_xent(states, tape.param(model.entities), ptr, cols, log_pi)
-    if log_pi is not None and config.entropy_weight > 0:
-        reg = entropy_reg(log_pi, tape)
-        loss = tape.subtract(loss, tape.weighted_sum(reg, config.entropy_weight))
-    return loss
+    return tape.mixture_xent(
+        states, tape.param(model.entities), ptr, cols, log_pi,
+        entropy_weight=config.entropy_weight,
+    )
 
 
 class Adam:
@@ -165,12 +159,7 @@ class EpochRecord:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_mrr": self.val_mrr,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass

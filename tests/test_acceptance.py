@@ -117,7 +117,6 @@ def _op_cases():
     w43 = rng.standard_normal((4, 3))
     w45 = rng.standard_normal((4, 5))
     w46 = rng.standard_normal((4, 6))
-    w41 = rng.standard_normal((4, 1))
 
     a = Parameter("a", rng.standard_normal((4, 3)))
     b = Parameter("b", rng.standard_normal((3, 5)).T.copy())  # passed transposed
@@ -137,13 +136,9 @@ def _op_cases():
     x = Parameter("x", rng.standard_normal((4, 3)))
     y = Parameter("y", rng.standard_normal((4, 3)))
 
-    def build_subtract(t):
-        return _weighted(t, t.subtract(t.param(x), t.param(y)), w43)
-
     def build_hadamard(t):
         return _weighted(t, t.hadamard(t.param(x), t.param(y)), w43)
 
-    yield "subtract", [x, y], build_subtract, False
     yield "hadamard", [x, y], build_hadamard, False
 
     aw = Parameter("aw", rng.standard_normal((5, 3)))
@@ -219,14 +214,6 @@ def _op_cases():
 
     yield "row_log_softmax", [sm], build_row_log_softmax, False
 
-    raw = rng.random((4, 5)) + 0.1
-    pe = Parameter("pe", np.log(raw / raw.sum(axis=1, keepdims=True)))
-
-    def build_row_entropy(t):
-        return _weighted(t, t.row_entropy(t.param(pe)), w41)
-
-    yield "row_entropy", [pe], build_row_entropy, False
-
     ws = Parameter("ws", rng.standard_normal((3, 4)))
 
     def build_weighted_sum(t):
@@ -248,8 +235,13 @@ def _op_cases():
         return t.mixture_xent([t.param(h) for h in xh], t.param(xe), xptr, xcols,
                               t.param(xlp))
 
+    def build_entropy_xent(t):
+        return t.mixture_xent([t.param(h) for h in xh], t.param(xe), xptr, xcols,
+                              t.param(xlp), entropy_weight=0.5)
+
     yield "mixture_xent(k=1)", [xh[0], xe], build_softmax_xent, False
     yield "mixture_xent(k=3)", xh + [xe, xlp], build_mixture_xent, False
+    yield "mixture_xent(k=3, entropy)", xh + [xe, xlp], build_entropy_xent, False
 
 
 def _full_loss_case(encoder, output_layer, seed):
@@ -317,11 +309,16 @@ def test_training_and_inference_record_exactly_the_tape_ops(monkeypatch):
     dropout and the prior entropy on) and Scorer.log_probs_from_states for
     both output layers record every public Tape op and no other, and
     backward runs on each of their tapes.  An op that only tests record
-    fails here."""
+    fails here.  The one exemption, weighted_sum, holds only while the
+    benchmark's tracer test records it; once that call goes, this test
+    fails and asks for the op's deletion."""
+    root = Path(__file__).resolve().parents[1]
+    tracer_test = root / "benchmarks" / "tests" / "test_tracer.py"
+    assert "tape.weighted_sum(" in tracer_test.read_text(encoding="utf-8")
     public = {
         name for name, fn in vars(Tape).items()
         if callable(fn) and not name.startswith("_") and name != "backward"
-    }
+    } - {"weighted_sum"}
     recorded = set()
     for encoder in ("distmult", "rescal", "mlp"):
         for output_layer in ("softmax", "mos"):

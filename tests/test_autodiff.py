@@ -53,7 +53,7 @@ def test_matmul_transpose_grads():
     assert finite_difference_check(build, [a, b]) <= FD_TOL
 
 
-@pytest.mark.parametrize("op", ["subtract", "hadamard"])
+@pytest.mark.parametrize("op", ["hadamard"])
 @pytest.mark.parametrize("b_shape", [(4, 3), (1, 3), (4, 1), (1, 1)])
 def test_elementwise_grads_with_broadcast(op, b_shape):
     """Equal shapes pass finite differences; a broadcast shape is refused,
@@ -266,36 +266,6 @@ def test_batch_norm_inference_uses_running_stats():
     assert out[0, 0] == pytest.approx((4.0 - 2.0) / np.sqrt(4.0 + 1e-5), rel=1e-9)
 
 
-def test_row_entropy_values_and_grads():
-    t = Tape()
-    with np.errstate(divide="ignore"):
-        lp = np.log(np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]]))
-    h = t.row_entropy(t.constant(lp)).value
-    assert h[0, 0] == pytest.approx(np.log(4.0), abs=1e-12)
-    assert h[1, 0] == 0.0  # one-hot rows (log 0 = -inf) carry zero entropy
-
-    # d/dlp of -p lp is -p (1 + lp): -1 at the one-hot entry, 0 at log 0
-    x = Parameter("lp", lp)
-    tape = Tape()
-    tape.backward(tape.weighted_sum(tape.row_entropy(tape.param(x))))
-    assert np.allclose(x.grad[0], -0.25 * (1.0 + np.log(0.25)), rtol=0, atol=1e-15)
-    assert np.array_equal(x.grad[1], [-1.0, 0.0, 0.0, 0.0])
-
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="log-probabilities"):
-            t.row_entropy(t.constant(np.array([[bad, 0.0]])))
-
-    rng = np.random.default_rng(14)
-    raw = rng.random((3, 5)) + 0.1
-    x = Parameter("lp", np.log(raw / raw.sum(axis=1, keepdims=True)))
-    w = rng.standard_normal((3, 1))
-
-    def build(tape):
-        return scalarize(tape, tape.row_entropy(tape.param(x)), w)
-
-    assert finite_difference_check(build, [x]) <= FD_TOL
-
-
 def test_weighted_sum_value_and_grad():
     rng = np.random.default_rng(15)
     x = Parameter("x", rng.standard_normal((3, 4)))
@@ -328,29 +298,29 @@ def test_cross_entropy_closed_form_gradient():
 
 
 def test_shared_and_aliased_adjoints_grads():
-    """One node feeding subtract(xn, xn), a concat_cols and a weighted sum.
-    The rules hand on g itself (subtract, to its first parent) and views
-    of it (concat_cols), so xn's first adjoint is zero's own array, cat's
-    is diff's, and yn's is a view of it; every later contribution must
-    still sum to the exact gradient."""
+    """Nodes with several consumers, some reached through concat_cols,
+    whose rule hands out views of its adjoint: xn feeds a weighted sum,
+    both halves of twice and cat, so its first adjoint is a view of cat's
+    and yn's is the other half of it; cat and other share a hadamard.
+    Every contribution must still sum to the exact gradient."""
     rng = np.random.default_rng(18)
     x = Parameter("x", rng.standard_normal((4, 3)))
     y = Parameter("y", rng.standard_normal((4, 2)))
     z = Parameter("z", rng.standard_normal((4, 5)))
     w_early = rng.standard_normal((4, 3))
-    w_self = rng.standard_normal((4, 3))
+    w_twice = rng.standard_normal((4, 6))
     w_cat = rng.standard_normal((4, 5))
 
     def build(t):
         other = t.leaky_relu(t.param(z))
         xn = t.leaky_relu(t.param(x))
         yn = t.leaky_relu(t.param(y))
-        early = scalarize(t, xn, w_early)  # reaches xn after the aliases
-        zero = t.subtract(xn, xn)  # xn gets g and then -g
+        early = scalarize(t, xn, w_early)  # reaches xn after the views
+        twice = t.concat_cols(xn, xn)  # xn gets both halves of one adjoint
         cat = t.concat_cols(xn, yn)
-        diff = t.subtract(cat, other)  # cat gets g itself, other -g
-        total = t.subtract(early, scalarize(t, zero, w_self))
-        return t.subtract(total, scalarize(t, diff, w_cat))
+        prod = t.hadamard(cat, other)  # cat and other share a consumer
+        mixed = t.concat_cols(scalarize(t, twice, w_twice), scalarize(t, prod, w_cat))
+        return t.weighted_sum(t.concat_cols(early, mixed))
 
     params = [x, y, z]
     assert finite_difference_check(build, params) <= FD_TOL
@@ -359,9 +329,14 @@ def test_shared_and_aliased_adjoints_grads():
     tape = Tape()
     tape.backward(build(tape))
     slope = {p.name: np.where(p.value > 0, 1.0, LEAKY_SLOPE) for p in params}
-    assert np.abs(x.grad - slope["x"] * (w_early - w_cat[:, :3])).max() <= 1e-12
-    assert np.abs(y.grad - slope["y"] * -w_cat[:, 3:]).max() <= 1e-12
-    assert np.abs(z.grad - slope["z"] * w_cat).max() <= 1e-12
+    xn = np.maximum(x.value, LEAKY_SLOPE * x.value)
+    yn = np.maximum(y.value, LEAKY_SLOPE * y.value)
+    zn = np.maximum(z.value, LEAKY_SLOPE * z.value)
+    want_x = w_early + w_twice[:, :3] + w_twice[:, 3:] + w_cat[:, :3] * zn[:, :3]
+    assert np.abs(x.grad - slope["x"] * want_x).max() <= 1e-12
+    assert np.abs(y.grad - slope["y"] * w_cat[:, 3:] * zn[:, 3:]).max() <= 1e-12
+    cat = np.hstack([xn, yn])
+    assert np.abs(z.grad - slope["z"] * w_cat * cat).max() <= 1e-12
 
 
 def test_backward_is_deterministic():
@@ -421,8 +396,6 @@ def test_shape_validation_errors():
         t.matmul(a, t.constant(b.value.T))  # b passed transposed: (2, 3) @ (2, 3)
     with pytest.raises(ValueError):
         t.gather_rows(a, np.array([0, 5]))
-    with pytest.raises(ValueError):
-        t.subtract(a, t.constant(np.ones((1, 3))))
     with pytest.raises(ValueError):
         t.hadamard(t.constant(np.ones((4, 3))), t.constant(np.ones((1, 3))))
     with pytest.raises(ValueError):
@@ -545,9 +518,10 @@ def xent_case(seed, k, n=5, n_ent=7, d=3, scale=1.0):
     return hs, e, lp, ptr, cols, params
 
 
-def fused(t, hs, e, lp, ptr, cols):
+def fused(t, hs, e, lp, ptr, cols, entropy_weight=0.0):
     log_pi = None if lp is None else t.param(lp)
-    return t.mixture_xent([t.param(h) for h in hs], t.param(e), ptr, cols, log_pi)
+    return t.mixture_xent([t.param(h) for h in hs], t.param(e), ptr, cols, log_pi,
+                          entropy_weight=entropy_weight)
 
 
 def grads_of(build, params):
@@ -695,8 +669,11 @@ def dense_dz_grads(hs, e, lp, ptr, cols):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_mixture_xent_gradients_are_the_dense_dz_rule_bitwise(k):
+    """Without the entropy term (entropy_weight = 0, or no log-priors at
+    k = 1, where any weight is ignored) the gradients are the dense rule's."""
     hs, e, lp, ptr, cols, params = xent_case(26, k, n=12, n_ent=40, d=5)
-    _, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
+    weight = 0.5 if lp is None else 0.0
+    _, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols, weight), params)
     for p, g, want in zip(params, got, dense_dz_grads(hs, e, lp, ptr, cols)):
         assert np.array_equal(g, want), p.name
 
@@ -801,6 +778,98 @@ def test_mixture_xent_validation():
         t.mixture_xent([h], wide_e, good_ptr, good_cols)
     with pytest.raises(ValueError, match="one component"):
         t.mixture_xent([], e, good_ptr, good_cols)
+    for bad in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="entropy_weight"):
+            t.mixture_xent([h, h], e, good_ptr, good_cols, lp, entropy_weight=bad)
+        with pytest.raises(ValueError, match="entropy_weight"):
+            t.mixture_xent([h], e, good_ptr, good_cols, entropy_weight=bad)
     assert len(t.nodes) == 5  # nothing was recorded by a rejected call
     loss = t.mixture_xent([h], e, good_ptr, good_cols)
     assert loss.value.shape == (1, 1) and np.isfinite(loss.value[0, 0])
+
+
+# ---- the prior entropy term of the fused loss ----
+
+
+def three_op_entropy(lp, weight):
+    """The prior entropy term as three tape ops once formed it, on no tape:
+    row_entropy, a weighted sum by 1/n, a weighted sum by the weight, and a
+    subtract from the cross-entropy.  Returns the 1x1 value subtracted and
+    the adjoint the chain handed to log_pi, each formed with the operations
+    of those ops' forwards and backward rules, in their order."""
+    n = lp.shape[0]
+    p = np.exp(lp)
+    with np.errstate(invalid="ignore"):
+        h = -np.where(p > 0, p * lp, 0.0).sum(axis=1, keepdims=True)
+    mean_h = np.array([[(1.0 / n) * float(h.sum())]])
+    reg = np.array([[weight * float(mean_h.sum())]])
+    g_reg = -np.ones((1, 1))  # subtract's rule hands -g to its second parent
+    g_mean = np.full_like(mean_h, weight * g_reg[0, 0])
+    g_h = np.full_like(h, (1.0 / n) * g_mean[0, 0])
+    with np.errstate(invalid="ignore"):
+        d_lp = np.where(p > 0, -g_h * p * (1.0 + lp), 0.0)
+    return reg, d_lp
+
+
+@pytest.mark.parametrize("xent_rows", [None, 12])
+@pytest.mark.parametrize("k", [1, 3])
+def test_mixture_xent_entropy_is_the_three_op_composition_bitwise(
+    monkeypatch, k, xent_rows
+):
+    """The fused term's value and every gradient are bitwise those of the
+    three-op chain, whose backward reached log_pi entropy first and then
+    cross-entropy; in one row block and in several (XENT_ROWS = 12)."""
+    if xent_rows is not None:
+        monkeypatch.setattr(autodiff, "XENT_ROWS", xent_rows)
+    hs, e, lp, ptr, cols, params = xent_case(31, k, n=30)
+    if lp is None:  # a one-column log-prior, so the term applies at k = 1
+        lp = Parameter("lp", np.random.default_rng(32).standard_normal((30, 1)))
+        params = params + [lp]
+    base_loss, base = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
+    # several weights, since a reordered product rounds differently in
+    # only some of them
+    for weight in (1e-3, 0.3, 0.37, 2.0 / 3.0):
+        loss, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols, weight), params)
+        reg, d_lp = three_op_entropy(lp.value, weight)
+        assert loss == (np.array([[base_loss]]) - reg)[0, 0], weight
+        assert loss != base_loss
+        for p, g, want in zip(params[:-1], got, base):
+            assert np.array_equal(g, want), p.name
+        assert np.array_equal(got[-1], d_lp + base[-1]), weight
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_mixture_xent_uniform_prior_subtracts_weight_log_k(k):
+    """Every row of a uniform prior has entropy log k, so the term is
+    exactly weight * log k."""
+    hs, e, _, ptr, cols, _ = xent_case(34, k, n=4)
+    lp = Parameter("lp", np.full((4, k), -np.log(k)))
+    base = fused(Tape(), hs, e, lp, ptr, cols).value[0, 0]
+    got = fused(Tape(), hs, e, lp, ptr, cols, 0.25).value[0, 0]
+    assert got == base - 0.25 * np.log(k)
+
+
+def test_mixture_xent_entropy_skips_zero_prior_entries():
+    """A prior entry with pi = 0 (log pi = -inf) adds 0 to the value and
+    the gradient: a one-hot row has entropy 0 and a half-half row log 2,
+    the gradient at the zero entries is the cross-entropy's alone, and no
+    invalid operation escapes the op."""
+    hs, e, lp, ptr, cols, params = xent_case(33, 3)
+    n = lp.value.shape[0]
+    lp.value -= np.logaddexp.reduce(lp.value, axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        lp.value[0] = np.log([1.0, 0.0, 0.0])
+        lp.value[1] = np.log([0.5, 0.0, 0.5])
+    zero = np.isneginf(lp.value)
+    weight = 0.5
+    with np.errstate(all="raise"):
+        base_loss, base = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols), params)
+        loss, got = grads_of(lambda t: fused(t, hs, e, lp, ptr, cols, weight), params)
+    rest = lp.value[2:]
+    entropy = np.log(2.0) - (np.exp(rest) * rest).sum()
+    assert loss == pytest.approx(base_loss - weight * entropy / n, rel=1e-14)
+    assert all(np.isfinite(g).all() for g in got)
+    assert np.array_equal(got[-1][zero], base[-1][zero])
+    assert got[-1][0, 0] - base[-1][0, 0] == pytest.approx(weight / n, rel=1e-14)
+    for p, g, want in zip(params[:-1], got, base):
+        assert np.array_equal(g, want), p.name

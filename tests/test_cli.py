@@ -507,11 +507,16 @@ def test_missing_dataset_is_handled():
 
 
 def test_invalid_train_config_is_handled(toy_dir, tmp_path):
-    rc, _ = run_cli([
-        "train", "--dataset", toy_dir, "--out", tmp_path / "x",
-        "--dropout", "1.0", "--epochs", "1", "--quiet",
-    ])
-    assert rc == 1
+    """A rejected config exits 1 before anything is written."""
+    bad = [("--dropout", "1.0"), ("--entropy-weight", "nan"), ("--lr", "inf")]
+    for flag, value in bad:
+        out_dir = tmp_path / flag.strip("-")
+        rc, _ = run_cli([
+            "train", "--dataset", toy_dir, "--out", out_dir, flag, value,
+            "--epochs", "1", "--quiet",
+        ])
+        assert rc == 1
+        assert not out_dir.exists()
 
 
 def test_console_script_entry_point():

@@ -18,7 +18,6 @@ from kgmix.train import (
     TrainConfig,
     TrainingDiverged,
     batch_loss,
-    entropy_reg,
     train_loop,
 )
 
@@ -165,27 +164,23 @@ def test_allocator_setting_does_nothing_without_mallopt(monkeypatch):
 
 
 def test_mixture_batch_records_its_priors_once():
-    """The entropy regulariser reads the log-priors that mixture_states
-    recorded: one prior matmul and one log-softmax on a MoS batch tape, no
-    second prior path."""
+    """The fused loss reads the log-priors that mixture_states recorded for
+    both its cross-entropy and its entropy term: one prior matmul and one
+    log-softmax on a MoS batch tape, no second prior path, and the loss
+    node, last on the tape, is the log-priors' only consumer."""
     model = init_model("distmult", 40, 3, 4, seed=0)
     mos = init_mos(3, 4, np.random.default_rng(1))
     cfg = TrainConfig(dim=4, k=3, output_layer="mos", entropy_weight=1e-3)
     tape = Tape()
-    batch_loss(model, mos, cfg, np.arange(6), np.arange(6) % 3, np.arange(7),
-               np.arange(6) * 5, tape, np.random.default_rng(2))
+    loss = batch_loss(model, mos, cfg, np.arange(6), np.arange(6) % 3, np.arange(7),
+                      np.arange(6) * 5, tape, np.random.default_rng(2))
     ops = [n.op for n in tape.nodes]
     assert ops.count("matmul") == 1 and ops.count("row_log_softmax") == 1
     assert "row_softmax" not in ops
-    (entropy,) = [n for n in tape.nodes if n.op == "row_entropy"]
     (log_pi,) = [n for n in tape.nodes if n.op == "row_log_softmax"]
-    assert entropy.parents == (log_pi,)
-
-
-def test_entropy_reg_uniform_value():
-    t = Tape()
-    log_pi = t.constant(np.full((4, 4), np.log(0.25)))
-    assert entropy_reg(log_pi, t).value[0, 0] == pytest.approx(np.log(4.0), abs=1e-12)
+    consumers = [n for n in tape.nodes if any(p is log_pi for p in n.parents)]
+    assert consumers == [loss] and loss is tape.nodes[-1]
+    assert loss.op == "mixture_xent" and ops.count("mixture_xent") == 1
 
 
 def test_adam_zero_grad_is_noop():
@@ -280,6 +275,10 @@ def test_config_validation_and_lr_defaults():
         dict(patience=0),
         dict(dropout=1.0),
         dict(entropy_weight=-0.1),
+        dict(lr=np.nan),
+        dict(lr=np.inf),
+        dict(entropy_weight=np.nan),
+        dict(entropy_weight=np.inf),
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad).validate()
@@ -445,6 +444,24 @@ def test_train_rejects_batch_below_one_before_training(toy_store, monkeypatch):
     monkeypatch.setattr(train_mod, "batch_loss", None)  # any batch would fail
     with pytest.raises(ValueError, match="batch_size"):
         train_loop(toy_store, TrainConfig(dim=2, epochs=1, batch_size=0))
+
+
+def test_diverging_mos_run_raises_training_diverged():
+    """A learning rate that blows the parameters up ends a MoS run with
+    TrainingDiverged at the first non-finite batch loss, priors included."""
+    rng = np.random.default_rng(0)
+    n_ent = 20
+    triples = list(zip(rng.integers(n_ent, size=200).tolist(),
+                       rng.integers(2, size=200).tolist(),
+                       rng.integers(n_ent, size=200).tolist()))
+    store = TripleStore(entity_names=[f"e{i}" for i in range(n_ent)],
+                        relation_names=["r0", "r1"], train=triples, valid=[], test=[])
+    cfg = TrainConfig(encoder="distmult", output_layer="mos", dim=4, k=3,
+                      lr=1e300, batch_size=10, epochs=2, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(
+        TrainingDiverged, match="non-finite loss at epoch 1"
+    ):
+        train_loop(store, cfg)
 
 
 def test_train_requires_triples():
