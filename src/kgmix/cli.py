@@ -407,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-mode", choices=("optimistic", "pessimistic"),
                    default="optimistic")
     p.add_argument("--candidates", default=None,
-                   help="file with one tab-separated entity-label line per triple")
+                   help="file with one tab-separated entity-label line per triple "
+                        "of the split; with inverses, the raw triples then their inverses")
     p.add_argument("--nll-filter", choices=("train", "train+valid"), default="train")
     p.add_argument("--per-query", default=None, help="write per-query JSONL here")
     _add_out(p)

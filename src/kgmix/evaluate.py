@@ -9,6 +9,12 @@ counts ties, so a constant score row yields rank 1 versus rank |pool|.
 evaluate_model alone joins both reports into one summary dict, with
 per-query rows on request; `kgmix eval` and training's valid_eval call it.
 
+A score function is score_fn(subjects, relations, entities=None).  Without
+entities it returns one score row over all entities per query; with an
+(m, w) int64 id array it returns the (m, w) scores of entities[i] for
+query i.  Ranking against candidate pools asks only for the pools, so a
+pass costs the pool entries, not the whole entity table.
+
 Both metrics come from one batch kernel, _filtered_pass, which costs the
 scores plus work proportional to the filter and pool entries: filters come
 from the store's cached split keys (graph.TripleStore.triple_keys) and are
@@ -51,8 +57,12 @@ def ranking_metrics(
     score_fn(subjects, relations) must return a (batch, n_entities) array.
     candidates, when given, is one entity-id list per triple of the split;
     ranking is then restricted to those candidates plus the true object,
-    with known-true candidates still filtered out.  A candidate id outside
-    [0, n_entities) raises ValueError.
+    with known-true candidates still filtered out.  score_fn is then only
+    called as score_fn(subjects, relations, entities) and must return the
+    (batch, w) scores of the ids in entities, at most one more column than
+    the largest pool, so a batch costs its pools rather than the entity
+    table.  A candidate id that is not an integer, or is outside
+    [0, n_entities), raises ValueError.
     """
     if rank_mode not in ("optimistic", "pessimistic"):
         raise ValueError(f"unknown rank mode {rank_mode!r}")
@@ -156,10 +166,17 @@ def evaluate_model(
 
 
 def _candidate_rows(candidates, n_triples: int, n_entities: int):
-    """Candidate-id lists as CSR rows (ptr, cols), one row per triple."""
+    """Candidate-id lists as CSR rows (ptr, cols), one row per triple.
+
+    Every id must be a Python or numpy integer (bools are not): a float or
+    a string would otherwise be truncated or parsed into some other id.
+    """
     if len(candidates) != n_triples:
         raise ValueError("need exactly one candidate list per triple")
     ptr = np.cumsum([0, *map(len, candidates)])
+    for t in set(map(type, chain.from_iterable(candidates))):
+        if t is bool or not issubclass(t, (int, np.integer)):
+            raise ValueError(f"candidate entity ids must be integers, got {t.__name__}")
     cols = np.fromiter(chain.from_iterable(candidates), dtype=np.int64, count=ptr[-1])
     if cols.size and (cols.min() < 0 or cols.max() >= n_entities):
         raise ValueError(f"candidate entity id outside [0, {n_entities})")
@@ -171,16 +188,20 @@ def _filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=N
     or negative log-probability (without) among the entities its row keeps,
     and whether the filter holds the true object itself.
 
-    fn(subjects, relations) gives one (batch, n_entities) row per triple,
-    BATCH_SIZE triples at a time, and is never written to; the pass holds
-    no block of fn's while fn makes the next.  A row keeps the
-    true object and every entity that is neither a true object in
-    filter_splits nor outside the triple's pool; pools apply to ranks only.
-    The filter and the pools are applied as sparse corrections: a full rank
-    counts the whole row and takes off the filtered entries that beat the
-    true object, a pool rank counts only the pool's kept entries, and the
-    NLL writes -inf at the filtered entries of a copy of the row, which
-    autodiff.exp_shifted_rows, the one softmax kernel, then normalises.
+    fn is called BATCH_SIZE triples at a time, and its output is never
+    written to; the pass holds no block of fn's while fn makes the next.
+    A row keeps the true object and every entity that is neither a true
+    object in filter_splits nor outside the triple's pool; pools apply to
+    ranks only.  A full rank asks fn(subjects, relations) for whole
+    (m, n_entities) rows, counts the whole row and takes off, as a sparse
+    correction, the filtered entries that beat the true object.  A pool
+    rank asks fn(subjects, relations, ids) for the (m, w) scores of ids:
+    column 0 is the true object, the next columns hold the row's kept pool
+    entries, and the true object again pads the row to w, 1 plus the
+    batch's largest kept pool; the rank counts the kept entries that beat
+    column 0, so padding never ties.  The NLL writes -inf at the filtered
+    entries of a copy of the row, which autodiff.exp_shifted_rows, the one
+    softmax kernel, then normalises.
     """
     if candidates is not None and not rank_mode:
         raise ValueError("candidate pools need a rank_mode")
@@ -195,6 +216,7 @@ def _filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=N
     known[rows[is_true]] = True
     if candidates is None:  # (rows, cols): the filtered entries, true objects aside
         rows, cols = rows[~is_true], cols[~is_true]
+        work = np.empty((min(BATCH_SIZE, n), n_ent), dtype=bool if rank_mode else np.float64)
     else:  # (rows, cols): the pools' unique entries, neither filtered nor true
         pool_ptr, pool_cols = _candidate_rows(candidates, n, n_ent)
         pool_rows = np.repeat(np.arange(n), np.diff(pool_ptr))
@@ -205,19 +227,24 @@ def _filtered_pass(fn, store, split, filter_splits, rank_mode=None, candidates=N
         rows, cols = rows[kept], cols[kept]
     bounds = np.searchsorted(rows, np.append(np.arange(0, n, BATCH_SIZE), n))
 
-    width = min(BATCH_SIZE, n)
-    work = np.empty((width, n_ent), dtype=bool if rank_mode else np.float64)
     values = np.empty(n, dtype=np.int64 if rank_mode else np.float64)
     for b, start in enumerate(range(0, n, BATCH_SIZE)):
         stop = min(start + BATCH_SIZE, n)
         m = stop - start
-        z = np.asarray(fn(subs[start:stop], rels[start:stop]), dtype=np.float64)
-        if z.shape != (m, n_ent):
-            raise ValueError(f"scores have shape {z.shape}, expected ({m}, {n_ent})")
         lo, hi = bounds[b], bounds[b + 1]
         r, c = rows[lo:hi] - start, cols[lo:hi]
-        t = z[np.arange(m), objs[start:stop]]
-        w = work[:m]
+        if candidates is None:
+            want, args, w = (m, n_ent), (), work[:m]
+        else:  # c becomes each pool entry's column in ids
+            count = np.bincount(r, minlength=m)
+            c = np.arange(1, r.size + 1) - (np.cumsum(count) - count)[r]
+            ids = np.repeat(objs[start:stop, None], 1 + count.max(), axis=1)
+            ids[r, c] = cols[lo:hi]
+            want, args = ids.shape, (ids,)
+        z = np.asarray(fn(subs[start:stop], rels[start:stop], *args), dtype=np.float64)
+        if z.shape != want:
+            raise ValueError(f"scores have shape {z.shape}, expected {want}")
+        t = z[np.arange(m), objs[start:stop]] if candidates is None else z[:, 0]
         if rank_mode:
             beats = np.greater if rank_mode == "optimistic" else np.greater_equal
             ahead = np.bincount(r[beats(z[r, c], t[r])], minlength=m)

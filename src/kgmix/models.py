@@ -143,15 +143,17 @@ def encode(
 
 
 class Scorer:
-    """Inference-mode scoring over all entities for evaluation.
+    """Inference-mode scoring for evaluation, over all entities or over
+    given candidate ids.
 
     Only the encoder and mixture_states run on a tape, so it holds no
     (batch, entities) node; both layers share the numpy output head
     mos.head_log_probs.  It runs the same forward as training, leaky-relu
     slope included, in inference mode: no dropout, batch norm on its
     running moments.  scores() returns what rankings should sort on (raw
-    H @ E^T for the plain layer, mixture log-probabilities otherwise);
-    log_probs() always returns normalized log-probabilities.
+    H @ E^T for the plain layer, mixture log-probabilities otherwise), the
+    score function of evaluate.ranking_metrics; log_probs() always returns
+    normalized log-probabilities.
     """
 
     def __init__(self, model: ModelParams, mos=None):
@@ -164,12 +166,34 @@ class Scorer:
         entities = self.model.entities.value
         return mos_mod.head_log_probs([s.value for s in states], entities, lp)
 
-    def scores(self, subjects, relations) -> np.ndarray:
+    def scores(self, subjects, relations, entities=None) -> np.ndarray:
+        """(batch, n_entities) scores, or with entities, a (batch, w) integer
+        id array, the (batch, w) scores of entities[i] for query i.
+
+        The plain layer scores the ids of row i as E[entities[i]] @ h_i, so
+        it holds w x d floats per row and no (batch, n_entities) block.  The
+        mixture normalises each component over all entities, so it computes
+        its full head and gathers the ids from it: its cost does not drop.
+        """
         with Tape() as tape:
             h = encode(self.model, subjects, relations, tape)
-            if self.mos is None:
-                return h.value @ self.model.entities.value.T
-            return self._head(h, tape)
+            if entities is not None:
+                entities = np.asarray(entities)
+                if entities.ndim != 2 or len(entities) != len(h.value) \
+                        or entities.dtype.kind not in "iu":
+                    raise ValueError(f"entities must be a (batch, w) integer array, "
+                                     f"got {entities.dtype} {entities.shape}")
+                _validate_ids(entities.reshape(-1), self.model.n_entities, "entity")
+            if self.mos is not None:
+                z = self._head(h, tape)
+                return z if entities is None else np.take_along_axis(z, entities, axis=1)
+            table = self.model.entities.value
+            if entities is None:
+                return h.value @ table.T
+            out = np.empty(entities.shape)
+            for row, ids, state in zip(out, entities, h.value):
+                np.matmul(table[ids], state, out=row)
+            return out
 
     def log_probs(self, subjects, relations) -> np.ndarray:
         with Tape() as tape:

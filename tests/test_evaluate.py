@@ -1,5 +1,6 @@
 """Filtered ranking and filtered NLL against brute-force references and
 hand-worked probability values."""
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -79,8 +80,9 @@ def _score_table(store, seed=0):
         (store.n_entities, store.n_relations, store.n_entities)
     )
 
-    def score_fn(subs, rels):
-        return table[np.asarray(subs), np.asarray(rels)]
+    def score_fn(subs, rels, entities=None):
+        z = table[np.asarray(subs), np.asarray(rels)]
+        return z if entities is None else np.take_along_axis(z, entities, axis=1)
 
     return table, score_fn
 
@@ -204,6 +206,13 @@ def test_ranking_validation(toy_store):
 
     with pytest.raises(ValueError, match="expected"):
         ranking_metrics(bad_fn, toy_store, "test")
+
+    def full_rows(subs, rels, entities=None):  # ignores the ids it is given
+        return score_fn(subs, rels)
+
+    # kept pools: [0] beside true object 4 (2 is filtered), [0, 1] beside 5
+    with pytest.raises(ValueError, match=r"shape \(2, 6\), expected \(2, 3\)"):
+        ranking_metrics(full_rows, toy_store, "test", candidates=[[0, 2, 4], [0, 1]])
 
 
 def test_filtered_nll_worked_example():
@@ -434,8 +443,10 @@ def _random_case(seed):
     )
     table = rng.integers(-2, 3, size=(n_ent, n_rel, n_ent)).astype(np.float64)
 
-    def score_fn(subs, rels):
+    def score_fn(subs, rels, entities=None):
         z = table[np.asarray(subs), np.asarray(rels)]
+        if entities is not None:
+            z = np.take_along_axis(z, entities, axis=1)
         z.flags.writeable = False  # the kernel must not write into it
         return z
 
@@ -515,6 +526,65 @@ def test_candidate_ids_out_of_range_raise():
         cands[-1] = cands[-1] + [bad]
         with pytest.raises(ValueError, match="outside"):
             ranking_metrics(score_fn, store, "test", candidates=cands)
+
+
+def test_candidate_ids_must_be_integers(toy_store):
+    """A float, bool or string id is rejected, not truncated or parsed into
+    another entity's id; any Python or numpy integer, or an int array, is
+    taken as it is."""
+    _, score_fn = _score_table(toy_store)
+    for bad, name in (
+        ([[0.9, 4.7], [1, 3]], "float"),
+        ([[0, 4], [True, 3]], "bool"),
+        ([[0, 4], [1, "3"]], "str"),
+        ([[0, np.float64(4.0)], [1]], "float64"),
+        ([[0, 4], [np.bool_(True)]], "bool"),
+        ([[0, None], [1]], "NoneType"),
+    ):
+        with pytest.raises(ValueError, match=f"must be integers, got {name}$"):
+            ranking_metrics(score_fn, toy_store, "test", candidates=bad)
+    want = ranking_metrics(score_fn, toy_store, "test", candidates=[[0, 2, 4], [0, 1]])
+    for ints in ([[np.int32(0), 2, np.uint8(4)], [0, np.int64(1)]],
+                 np.array([[0, 2, 4], [0, 1, 1]])):
+        got = ranking_metrics(score_fn, toy_store, "test", candidates=ints)
+        assert got.per_query == want.per_query
+
+
+def test_pool_ranking_scores_only_the_pools():
+    """With candidates, the score function is only asked for ids, each
+    batch no wider than 1 plus the largest pool, and the pass allocates
+    far less than one (BATCH_SIZE x n_entities) block of float scores."""
+    from kgmix.models import Scorer, init_model
+
+    n_ent, n_test = 20_000, 1_100
+    rng = np.random.default_rng(0)
+
+    def draw(n):
+        return np.stack([rng.integers(n_ent, size=n), rng.integers(3, size=n),
+                         rng.integers(n_ent, size=n)], axis=1)
+
+    store = TripleStore(entity_names=[f"e{i}" for i in range(n_ent)],
+                        relation_names=["r0", "r1", "r2"],
+                        train=draw(3_000), valid=draw(100), test=draw(n_test))
+    pools = [rng.integers(n_ent, size=k).tolist() for k in rng.integers(0, 101, n_test)]
+    scorer = Scorer(init_model("distmult", n_ent, 3, 8, seed=0))
+    widths = []
+
+    def recording(subs, rels, entities=None):
+        assert entities is not None, "a pool pass asked for whole score rows"
+        widths.append(entities.shape[1])
+        return scorer.scores(subs, rels, entities)
+
+    tracemalloc.start()
+    try:
+        report = ranking_metrics(recording, store, "test", candidates=pools)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(widths) == -(-n_test // evaluate.BATCH_SIZE)
+    assert max(widths) <= 1 + max(map(len, pools))
+    assert peak < evaluate.BATCH_SIZE * n_ent * 8 / 10
+    assert report.n_queries == n_test and 1 <= report.mr <= 101
 
 
 # ---- the sparse-correction kernel against the dense-mask kernel it replaced ----
@@ -612,8 +682,8 @@ def test_sparse_kernel_on_extreme_rows():
         [np.inf, 5.0, 5.0, np.inf, -np.inf, 5.0],
     ])
 
-    def score_fn(subs, rels):  # one row per test triple, in one batch
-        return table
+    def score_fn(subs, rels, entities=None):  # one row per test triple, in one batch
+        return table if entities is None else np.take_along_axis(table, entities, axis=1)
 
     pools = [[1, 2, 3, 3], [1, 2], [3, 3, 0], [0, 3, 4, 4]]
     ranks = {}
