@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import evaluate as eval_mod
-from . import linalg, theory
+from . import theory
 from .graph import augment_inverse, dataset_stats, load_triples, query_labels
 from .models import Scorer, init_model, load_checkpoint, save_checkpoint
 from .mos import init_mos
@@ -300,19 +300,13 @@ def cmd_dr_check(args) -> int:
     return 0
 
 
-def _random_scorer(n_entities: int, dim: int, output_layer: str, k: int, seed: int):
-    rng = np.random.default_rng(seed)
-    model = init_model("distmult", n_entities, 1, dim, seed=seed, rng=rng)
-    mos_params = init_mos(k, dim, rng) if output_layer == "mos" else None
-    return Scorer(model, mos_params)
-
-
 def cmd_logprob_rank(args) -> int:
-    scorer = _random_scorer(args.entities, args.dim, args.output_layer, args.k, args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    states = rng.standard_normal((args.queries, args.dim))
+    rng = np.random.default_rng(args.seed)
+    model = init_model("distmult", args.entities, 1, args.dim, seed=args.seed, rng=rng)
+    mos_params = init_mos(args.k, args.dim, rng) if args.output_layer == "mos" else None
+    states = np.random.default_rng(args.seed + 1).standard_normal((args.queries, args.dim))
     probe = theory.logprob_rank_probe(
-        scorer.log_probs_from_states(states), args.dim, rel_tol=args.rel_tol
+        Scorer(model, mos_params).log_probs_from_states(states), args.dim, rel_tol=args.rel_tol
     )
     _emit(
         {
@@ -323,37 +317,13 @@ def cmd_logprob_rank(args) -> int:
             "k": args.k if args.output_layer == "mos" else None,
             "seed": args.seed,
             "rank": probe.rank,
+            "centered_alr_rank": probe.centered_alr_rank,
+            "sigma_after_capacity": probe.sigma_after_capacity,
             "capacity": probe.capacity,
             "within_single_softmax": probe.within_single_softmax,
         },
         args.out,
     )
-    return 0
-
-
-def cmd_manifold(args) -> int:
-    scorer = _random_scorer(args.entities, args.dim, args.output_layer, args.k, args.seed)
-    states, probs = theory.sample_output_manifold(
-        scorer.log_probs_from_states, args.dim, args.samples, seed=args.seed + 1
-    )
-    alr = theory.alr_transform(probs, ref=0)
-    centered = alr - alr.mean(axis=0, keepdims=True)
-    rank = linalg.numerical_rank(centered)
-    _emit(
-        {
-            "entities": args.entities,
-            "dim": args.dim,
-            "samples": args.samples,
-            "output_layer": args.output_layer,
-            "k": args.k if args.output_layer == "mos" else None,
-            "seed": args.seed,
-            "centered_alr_rank": rank,
-            "single_softmax_affine_dim": args.dim,
-        },
-        args.out,
-    )
-    if args.points:
-        np.savetxt(args.points, probs, delimiter=",")
     return 0
 
 
@@ -473,20 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-tol", type=float, default=1e-8)
     _add_out(p)
     p.set_defaults(func=cmd_logprob_rank)
-
-    p = asub.add_parser(
-        "manifold", help="probe the reachable probability set of an output layer"
-    )
-    p.add_argument("--entities", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--output-layer", choices=("softmax", "mos"), default="softmax")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", default=None,
-                   help="also write the probability rows as CSV here")
-    _add_out(p)
-    p.set_defaults(func=cmd_manifold)
 
     return parser
 

@@ -30,16 +30,16 @@ def numerical_rank(m, rel_tol: float = 1e-8) -> int:
     counts those exceeding rel_tol times the largest pivot seen.  Complete
     pivoting keeps element growth tame, so the pivot sequence separates
     cleanly at the numerical rank for the matrices this package produces.
-    A NaN or infinite entry raises ValueError: no pivot would compare
-    above it, and the rank would read 0.
+    A NaN or infinite entry, or rel_tol, raises ValueError: no pivot would
+    compare above it, and the rank would read 0.
     """
     a = as_matrix(m).copy()
     n, k = a.shape
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0].tolist()
         raise ValueError(f"numerical_rank: entry ({i}, {j}) is not finite")
-    if rel_tol < 0:
-        raise ValueError("rel_tol must be non-negative")
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"rel_tol must be finite and non-negative, got {rel_tol}")
     if n == 0 or k == 0:
         return 0
     pivots = []

@@ -19,9 +19,10 @@ Three families of checks live here, all certificate-producing:
   must equal Cover's closed form for general position.
 
 * Rank probes: exact rational rank of a target adjacency versus the d+1
-  ceiling of single-softmax log-probability matrices, numerical rank of
-  sampled log-probability matrices, and the ALR view that flattens a
-  single softmax to an affine map.
+  ceiling of single-softmax log-probability matrices, and one probe that
+  turns a sampled log-probability matrix into its numerical rank, the rank
+  of its centred additive log-ratios (at most d for a single softmax), and
+  its normalised singular values.
 """
 from __future__ import annotations
 
@@ -656,64 +657,50 @@ def dr_obstruction_check(target, dim: int) -> DrCheck:
 
 @dataclass
 class RankProbe:
-    rank: int
+    rank: int  # numerical rank of L
+    centered_alr_rank: int  # numerical rank of L's column-centred log-ratios
+    spectrum: np.ndarray  # singular values of L over the largest (all 0 if L is)
     dim: int
     capacity: int
-    n_queries: int
-    rel_tol: float
 
     @property
     def within_single_softmax(self) -> bool:
         return self.rank <= self.capacity
 
+    @property
+    def sigma_after_capacity(self) -> float | None:
+        """sigma_{d+2} / sigma_1, or None when L has at most d + 1 of them."""
+        s = self.spectrum
+        return float(s[self.capacity]) if s.size > self.capacity else None
+
 
 def logprob_rank_probe(logp: np.ndarray, dim: int, rel_tol: float = 1e-8) -> RankProbe:
-    """Numerical rank of a sampled log-probability matrix versus dim + 1.
+    """Rank numbers of a sampled log-probability matrix L versus dim + 1.
 
-    Needs at least dim + 3 rows so a rank above dim + 1 is observable with
-    headroom; single-softmax models stay at or below the capacity, mixtures
-    with k >= 2 can exceed it.
+    rank counts the complete-pivoting pivots of L.  The log-ratios
+    A = L[:, 1:] - L[:, :1] cancel each row's normaliser, so a single
+    softmax makes A = H (E[1:] - E[0])^T: centring A's columns leaves
+    rank at most dim.  Both ranks use numerical_rank with rel_tol, and A is
+    taken from L directly, so rows far below exp's range (L < -745) count.
+    The spectrum, from an SVD, separates a saturated softmax from a mixture
+    where the pivot counts cannot.  Needs at least dim + 3 rows so a rank
+    above dim + 1 is observable with headroom.
     """
     m = linalg.as_matrix(logp)
+    if dim < 1:
+        raise ValueError("dim must be positive")
     if m.shape[0] < dim + 3:
         raise ValueError(f"need at least dim + 3 = {dim + 3} query rows")
     rank = linalg.numerical_rank(m, rel_tol)
+    alr = m[:, 1:] - m[:, :1]
+    alr_rank = linalg.numerical_rank(alr - alr.mean(axis=0), rel_tol)
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size and s[0] > 0:
+        s = s / s[0]
     return RankProbe(
         rank=rank,
+        centered_alr_rank=alr_rank,
+        spectrum=s,
         dim=dim,
         capacity=dim + 1,
-        n_queries=m.shape[0],
-        rel_tol=rel_tol,
     )
-
-
-def alr_transform(p, ref: int = 0) -> np.ndarray:
-    """Additive log-ratio: ln(p_ij / p_i,ref) with the ref column dropped.
-
-    Rows of a single softmax land in an affine subspace of dimension at
-    most d under this map; rows must be strictly positive.
-    """
-    p = linalg.as_matrix(p)
-    if not 0 <= ref < p.shape[1]:
-        raise ValueError("ref column out of range")
-    if (p <= 0).any():
-        raise ValueError("ALR needs strictly positive entries")
-    out = np.log(p / p[:, ref : ref + 1])
-    return np.delete(out, ref, axis=1)
-
-
-def sample_output_manifold(state_logp_fn, dim: int, n_samples: int, seed: int = 0):
-    """Drive an output layer with Gaussian states; return (states, probs).
-
-    state_logp_fn maps an (n, dim) state matrix to (n, n_entities) log
-    probabilities.  The probability rows trace out the layer's reachable
-    set; useful for rank and ALR probes on trained or random models.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
-    states = rng.standard_normal((n_samples, dim))
-    logp = np.asarray(state_logp_fn(states), dtype=np.float64)
-    if logp.ndim != 2 or logp.shape[0] != n_samples:
-        raise ValueError("state_logp_fn returned a misshaped matrix")
-    return states, np.exp(logp)

@@ -1,16 +1,19 @@
 """End-to-end command-line runs: artifact layout, JSON contents against
 in-process computations, determinism of repeated runs, and error exits."""
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kgmix.cli import _json, main
+from kgmix.cli import _json, build_parser, main
 from kgmix.evaluate import filtered_nll, ranking_metrics
 from kgmix.graph import augment_inverse, load_triples
 from kgmix.models import Scorer, load_checkpoint
@@ -22,6 +25,13 @@ TOY = dict(
     valid=[("e0", "r1", "e3"), ("e2", "r0", "e4")],
     test=[("e1", "r0", "e4"), ("e3", "r1", "e5")],
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _subparsers(parser):
+    """name -> parser of parser's subcommands."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def run_cli(argv):
@@ -483,22 +493,20 @@ def test_analyze_logprob_rank_frozen():
             "--queries", 12, "--seed", 0]
     plain = run_json(base + ["--output-layer", "softmax"])
     assert plain["rank"] == 3 and plain["within_single_softmax"] is True
+    assert plain["centered_alr_rank"] == 2
+    assert plain["sigma_after_capacity"] <= 1e-12
     mixed = run_json(base + ["--output-layer", "mos", "--k", 4])
     assert mixed["rank"] == 8 and mixed["within_single_softmax"] is False
+    assert mixed["centered_alr_rank"] == 7
+    assert mixed["sigma_after_capacity"] > 1e-6
     assert mixed["capacity"] == 3
 
 
-def test_analyze_manifold_frozen(tmp_path):
-    points = tmp_path / "pts.csv"
-    base = ["analyze", "manifold", "--entities", 8, "--dim", 2,
-            "--samples", 12, "--seed", 0]
-    plain = run_json(base + ["--output-layer", "softmax", "--points", points])
-    assert plain["centered_alr_rank"] == 2 == plain["single_softmax_affine_dim"]
-    pts = np.loadtxt(points, delimiter=",")
-    assert pts.shape == (12, 8)
-    assert np.abs(pts.sum(axis=1) - 1.0).max() <= 1e-9
-    mixed = run_json(base + ["--output-layer", "mos", "--k", 4])
-    assert mixed["centered_alr_rank"] == 7 > 2
+def test_readme_lists_every_analyze_subcommand():
+    """The kgmix analyze lines of README.md name exactly the analyze
+    subcommands the parser has, so a removed or renamed one fails here."""
+    documented = set(re.findall(r"\bkgmix analyze ([\w-]+)", README.read_text(encoding="utf-8")))
+    assert documented == set(_subparsers(_subparsers(build_parser())["analyze"]))
 
 
 def test_missing_dataset_is_handled():

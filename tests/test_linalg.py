@@ -36,6 +36,14 @@ def test_numerical_rank_checks_rel_tol_on_empty_matrices():
             linalg.numerical_rank(m, rel_tol=-1)
 
 
+def test_numerical_rank_rejects_non_finite_rel_tol():
+    """A NaN rel_tol made the cutoff NaN, so no pivot counted and the rank
+    read 0; an infinite one does the same."""
+    for rel_tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            linalg.numerical_rank(np.eye(2), rel_tol=rel_tol)
+
+
 def test_numerical_rank_tolerance_cut():
     m = np.diag([1.0, 1e-3, 1e-12])
     assert linalg.numerical_rank(m) == 2  # default rel_tol 1e-8

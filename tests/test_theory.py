@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from kgmix import theory
-from kgmix.linalg import numerical_rank
 from kgmix.mos import head_log_probs, init_mos, mixture_states
 from kgmix.autodiff import Tape
 from kgmix.theory import (
@@ -18,7 +17,6 @@ from kgmix.theory import (
     MAX_RANKING_ROWS,
     MAX_SIGN_ROWS,
     RowSignPoly,
-    alr_transform,
     check_general_position_rankings,
     check_general_position_signs,
     dr_obstruction_check,
@@ -28,7 +26,6 @@ from kgmix.theory import (
     feasible_sign_bound,
     logprob_rank_probe,
     random_adjacency,
-    sample_output_manifold,
     sign_decompose,
     verify_sign_decomposition,
 )
@@ -815,6 +812,7 @@ def test_logprob_rank_probe_single_softmax_stays_within_capacity():
         probe = logprob_rank_probe(logp, dim=3)
         assert probe.rank <= probe.capacity == 4
         assert probe.within_single_softmax
+        assert probe.sigma_after_capacity <= 1e-12
 
 
 def test_logprob_rank_probe_mixture_exceeds_capacity():
@@ -827,6 +825,7 @@ def test_logprob_rank_probe_mixture_exceeds_capacity():
     probe = logprob_rank_probe(lp, dim=d)
     assert probe.rank > probe.capacity
     assert not probe.within_single_softmax
+    assert probe.sigma_after_capacity > 1e-6
 
 
 def test_logprob_rank_probe_rejects_non_finite_entries():
@@ -841,35 +840,22 @@ def test_logprob_rank_probe_needs_rows():
         logprob_rank_probe(np.zeros((4, 6)), dim=2)
 
 
-# ---- additive log-ratio view ----
+def test_logprob_rank_probe_rejects_non_positive_dim():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            logprob_rank_probe(np.zeros((2, 5)), dim=dim)
 
 
-def test_alr_transform_hand_example():
-    p = np.array([[0.5, 0.25, 0.25]])
-    out = alr_transform(p, ref=0)
-    assert np.allclose(out, [[np.log(0.5), np.log(0.5)]], atol=1e-12)
-    out1 = alr_transform(p, ref=1)
-    assert np.allclose(out1, [[np.log(2.0), np.log(1.0)]], atol=1e-12)
-    assert out.shape == (1, 2)
-
-
-def test_alr_transform_validation():
-    with pytest.raises(ValueError, match="ref column"):
-        alr_transform(np.array([[0.5, 0.5]]), ref=2)
-    with pytest.raises(ValueError, match="positive"):
-        alr_transform(np.array([[0.5, 0.0, 0.5]]))
+# ---- additive log-ratio view and spectrum ----
 
 
 def test_alr_flattens_single_softmax_to_rank_d():
     """Log-ratios cancel the normalizer, leaving h . (e_j - e_ref): linear
-    in the query state, so the ALR matrix has rank at most d."""
+    in the query state, so the centred log-ratio matrix has rank at most d."""
     rng = np.random.default_rng(21)
     d, n, b = 3, 10, 16
-    logp, h, e = _plain_logp(rng, b, n, d)
-    alr = alr_transform(np.exp(logp), ref=0)
-    assert numerical_rank(alr) <= d
-    want = h @ (e - e[0]).T
-    assert np.abs(alr - np.delete(want, 0, axis=1)).max() <= 1e-9
+    logp, _, _ = _plain_logp(rng, b, n, d)
+    assert logprob_rank_probe(logp, dim=d).centered_alr_rank <= d
 
 
 def test_alr_mixture_exceeds_rank_d():
@@ -879,24 +865,31 @@ def test_alr_mixture_exceeds_rank_d():
     e = rng.standard_normal((n, d))
     mix = init_mos(4, d, np.random.default_rng(103))
     lp = _mixture_logp(mix, h, e)
-    assert numerical_rank(alr_transform(np.exp(lp))) > d
+    assert logprob_rank_probe(lp, dim=d).centered_alr_rank > d
 
 
-def test_sample_output_manifold():
+def test_probe_reads_peaked_softmax_below_exp_range():
+    """An entity table scaled x400 puts entries of L below -745, where exp
+    underflows to 0; the log-ratios come from L itself, so the centred ALR
+    rank is still d and the spectrum finite."""
     rng = np.random.default_rng(0)
-    e = rng.standard_normal((7, 3))
+    d, n, b = 2, 8, 12
+    h = rng.standard_normal((b, d))
+    z = h @ (400 * rng.standard_normal((n, d))).T
+    top = z.max(axis=1, keepdims=True)
+    logp = z - top - np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+    assert logp.min() < -745 and (np.exp(logp) == 0).any()
+    probe = logprob_rank_probe(logp, dim=d)
+    assert probe.centered_alr_rank == d
+    assert probe.rank <= probe.capacity
+    assert np.isfinite(probe.spectrum).all() and probe.spectrum[0] == 1.0
+    assert np.all(np.diff(probe.spectrum) <= 0)
 
-    def fn(states):
-        z = states @ e.T
-        m = z.max(axis=1, keepdims=True)
-        return z - (np.log(np.exp(z - m).sum(axis=1, keepdims=True)) + m)
 
-    states, probs = sample_output_manifold(fn, dim=3, n_samples=20, seed=5)
-    states2, probs2 = sample_output_manifold(fn, dim=3, n_samples=20, seed=5)
-    assert np.array_equal(states, states2) and np.array_equal(probs, probs2)
-    assert states.shape == (20, 3) and probs.shape == (20, 7)
-    assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-    with pytest.raises(ValueError, match="positive"):
-        sample_output_manifold(fn, dim=3, n_samples=0)
-    with pytest.raises(ValueError, match="misshaped"):
-        sample_output_manifold(lambda s: np.zeros((3, 2)), dim=3, n_samples=5)
+def test_probe_of_all_zero_logprobs_has_zero_spectrum():
+    """One entity: every log-probability is 0, so sigma_1 = 0 and the
+    spectrum stays 0 instead of 0 / 0."""
+    probe = logprob_rank_probe(np.zeros((5, 1)), dim=2)
+    assert probe.rank == probe.centered_alr_rank == 0
+    assert probe.spectrum.tolist() == [0.0]
+    assert probe.sigma_after_capacity is None
