@@ -271,7 +271,6 @@ def cmd_decompose(args) -> int:
             "epsilon": str(dec.epsilon),
             "merged_blocks": not args.no_merge,
             "verified": check.ok,
-            "min_margin": check.min_margin,
             "rational_checked": check.rational_checked,
             "mismatches": len(check.mismatches),
         },

@@ -50,14 +50,15 @@ def ranking_metrics(
     store: TripleStore,
     split: str = "test",
     rank_mode: str = "optimistic",
-    candidates: list[list[int]] | None = None,
+    candidates: list[list[int]] | np.ndarray | None = None,
 ) -> EvalReport:
     """Filtered ranking over one split.
 
     score_fn(subjects, relations) must return a (batch, n_entities) array.
-    candidates, when given, is one entity-id list per triple of the split;
-    ranking is then restricted to those candidates plus the true object,
-    with known-true candidates still filtered out.  score_fn is then only
+    candidates, when given, is one entity-id list per triple of the split,
+    or a 2-D integer array with one row per triple; ranking is then
+    restricted to those candidates plus the true object, with known-true
+    candidates still filtered out.  score_fn is then only
     called as score_fn(subjects, relations, entities) and must return the
     (batch, w) scores of the ids in entities, at most one more column than
     the largest pool, so a batch costs its pools rather than the entity
@@ -166,18 +167,28 @@ def evaluate_model(
 
 
 def _candidate_rows(candidates, n_triples: int, n_entities: int):
-    """Candidate-id lists as CSR rows (ptr, cols), one row per triple.
+    """Candidate-id lists, or a 2-D array with one row per triple, as CSR
+    rows (ptr, cols), one row per triple.
 
     Every id must be a Python or numpy integer (bools are not): a float or
-    a string would otherwise be truncated or parsed into some other id.
+    a string would otherwise be truncated or parsed into some other id.  A
+    2-D non-object array is checked by its dtype, not id by id.
     """
     if len(candidates) != n_triples:
         raise ValueError("need exactly one candidate list per triple")
-    ptr = np.cumsum([0, *map(len, candidates)])
-    for t in set(map(type, chain.from_iterable(candidates))):
+    dense = (isinstance(candidates, np.ndarray) and candidates.ndim == 2
+             and candidates.dtype != object)
+    if dense:
+        ptr = np.arange(n_triples + 1) * candidates.shape[1]
+        types = {candidates.dtype.type}
+    else:
+        ptr = np.cumsum([0, *map(len, candidates)])
+        types = set(map(type, chain.from_iterable(candidates)))
+    for t in types:
         if t is bool or not issubclass(t, (int, np.integer)):
             raise ValueError(f"candidate entity ids must be integers, got {t.__name__}")
-    cols = np.fromiter(chain.from_iterable(candidates), dtype=np.int64, count=ptr[-1])
+    cols = (candidates.ravel().astype(np.int64) if dense else
+            np.fromiter(chain.from_iterable(candidates), dtype=np.int64, count=ptr[-1]))
     if cols.size and (cols.min() < 0 or cols.max() >= n_entities):
         raise ValueError(f"candidate entity id outside [0, {n_entities})")
     return ptr, cols

@@ -274,6 +274,8 @@ def load_checkpoint(path: str):
         extra = header["extra"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed checkpoint header ({e!r})") from e
+    if not isinstance(extra, dict):
+        raise ValueError(f"{path}: malformed checkpoint header (extra is not an object)")
 
     state = dict(state_arrays(model, mos))
     shapes = dict(specs)

@@ -6,10 +6,10 @@ Three families of checks live here, all certificate-producing:
   written as sign(X @ V^T) where V is the 2c+1-column integer Vandermonde
   grid v[t, j] = t^j and row i of X holds the coefficients of a polynomial
   that is positive exactly on i's neighbor columns.  This realizes every
-  sign pattern of the adjacency in dimension 2c+1.  The check evaluates
-  the factored polynomials over the whole grid in one vectorized float
-  pass, and small grids also evaluate the dense coefficient form in exact
-  integer arithmetic.
+  sign pattern of the adjacency in dimension 2c+1.  The check takes every
+  sign exactly from the parity of the roots above each grid point, and
+  small grids also evaluate the dense coefficient form in exact integer
+  arithmetic.
 
 * Feasible sign/ranking enumeration: which of the 2^N sign patterns (or N!
   score orderings) over N fixed embedding rows are realized by some query
@@ -55,17 +55,11 @@ def _validate_binary(adj) -> np.ndarray:
 
 @dataclass
 class RowSignPoly:
-    """sigma * prod_j (t - roots[j]); evaluated in factored form so the
-    sign at integer grid points is exact in float arithmetic."""
+    """sigma * prod_j (t - roots[j]), kept in factored form with rational
+    roots."""
 
     sigma: int
     roots: list[Fraction]
-
-    def eval_float(self, t: float) -> float:
-        out = float(self.sigma)
-        for r in self.roots:
-            out *= t - float(r)
-        return out
 
     def integer_coefficients(self, width: int) -> tuple[list[int], int]:
         """Integer coefficients c (low degree first, zero-padded to width)
@@ -96,33 +90,6 @@ class RowSignPoly:
         return [Fraction(c, scale) for c in coeffs]
 
 
-def _grid_values(rows: list[RowSignPoly], n_cols: int) -> np.ndarray:
-    """(len(rows), n_cols) values sigma * prod_j (t - float(r_j)) at
-    t = 1..n_cols, multiplied in RowSignPoly.eval_float's order, so every
-    value is bitwise eval_float's.
-
-    Rows are sorted by degree, so the rows that still have a j-th root are
-    a prefix and each root multiplies one slice in place.
-    """
-    degree = np.array([len(r.roots) for r in rows], dtype=np.int64)
-    order = np.argsort(-degree, kind="stable")
-    roots = np.zeros((len(rows), int(degree.max(initial=0))))
-    for k, i in enumerate(order.tolist()):
-        roots[k, : degree[i]] = [float(r) for r in rows[i].roots]
-    t = np.arange(1, n_cols + 1, dtype=np.float64)
-    vals = np.empty((len(rows), n_cols))
-    vals[:] = np.array([float(rows[i].sigma) for i in order.tolist()])[:, None]
-    factor = np.empty_like(vals)
-    live = np.sum(degree[:, None] > np.arange(roots.shape[1]), axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, k in enumerate(live.tolist()):
-            np.subtract(t, roots[:k, j, None], out=factor[:k])
-            vals[:k] *= factor[:k]
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
-
-
 @dataclass
 class SignDecomposition:
     n_rows: int
@@ -139,9 +106,33 @@ class SignDecomposition:
         return [row.coefficients(self.width) for row in self.rows]
 
     def sign_matrix(self) -> np.ndarray:
-        """Signs at the integer grid via factored evaluation (exact signs);
-        a zero or NaN value counts as -1."""
-        return np.where(_grid_values(self.rows, self.n_cols) > 0, 1, -1)
+        """Exact signs in {-1, 0, +1} at the grid t = 1..n_cols.
+
+        At an integer t the sign of sigma * prod_j (t - r_j) is
+        sign(sigma) * (-1)**#{j : r_j > t}, and 0 where some r_j = t.  A
+        rational r is at most t exactly when ceil(r) <= t, so each row's
+        root ceilings, clipped to [0, n_cols + 1], are counted per grid
+        point and summed along the grid.  A row of degree width or more
+        raises ValueError naming the row.
+        """
+        for i, row in enumerate(self.rows):
+            if len(row.roots) >= self.width:
+                raise ValueError(f"row {i}: polynomial degree {len(row.roots)} "
+                                 f"exceeds the requested width {self.width}")
+        n, m = len(self.rows), self.n_cols
+        degree = np.array([len(row.roots) for row in self.rows], dtype=np.int64)
+        roots = [r for row in self.rows for r in row.roots]
+        num = np.array([r.numerator for r in roots], dtype=object)
+        den = np.array([r.denominator for r in roots], dtype=object)
+        ceil = np.clip(-(-num // den), 0, m + 1).astype(np.int64)
+        which = np.repeat(np.arange(n), degree)
+        counts = np.bincount(which * (m + 2) + ceil, minlength=n * (m + 2))
+        at_or_below = np.cumsum(counts.reshape(n, m + 2), axis=1)[:, 1 : m + 1]
+        sigma = np.array([int(row.sigma > 0) - int(row.sigma < 0) for row in self.rows])
+        signs = sigma[:, None] * (1 - 2 * ((degree[:, None] - at_or_below) & 1))
+        on_grid = (den == 1) & (ceil >= 1) & (ceil <= m)
+        signs[which[on_grid], ceil[on_grid] - 1] = 0
+        return signs
 
 
 def sign_decompose(adj, epsilon=Fraction(1, 2), merge_blocks: bool = True) -> SignDecomposition:
@@ -193,7 +184,6 @@ def sign_decompose(adj, epsilon=Fraction(1, 2), merge_blocks: bool = True) -> Si
 @dataclass
 class SignVerification:
     ok: bool
-    min_margin: float
     mismatches: list[tuple[int, int]]
     rational_checked: bool
 
@@ -201,22 +191,18 @@ class SignVerification:
 def verify_sign_decomposition(adj, dec: SignDecomposition) -> SignVerification:
     """Check sign(p_i(t)) against 2*adj - 1 on the whole grid.
 
-    Factored float evaluation decides the signs (no coefficient-form
-    cancellation), in one vectorized pass over the grid; a zero or NaN value
-    is a mismatch, and NaN stays out of min_margin.  A grid of at most
-    RATIONAL_CHECK_CELL_CAP cells is also checked exactly: the rows'
-    integer coefficients (RowSignPoly.integer_coefficients, whose positive
-    scale leaves the signs unchanged) times the powers t**j, as one product
-    of Python ints, must have the target sign in every cell.
+    SignDecomposition.sign_matrix decides every sign exactly from the
+    roots; a zero is a mismatch.  A grid of at most RATIONAL_CHECK_CELL_CAP
+    cells is also checked against the dense form: the rows' integer
+    coefficients (RowSignPoly.integer_coefficients, whose positive scale
+    leaves the signs unchanged) times the powers t**j, as one product of
+    Python ints, must have the target sign in every cell.
     """
     a = _validate_binary(adj)
     if a.shape != (dec.n_rows, dec.n_cols) or len(dec.rows) != dec.n_rows:
         raise ValueError("decomposition shape does not match the adjacency")
     target = 2 * a - 1
-    vals = _grid_values(dec.rows, dec.n_cols)
-    bad = ~np.where(target > 0, vals > 0, vals < 0)
-    margins = np.abs(vals[~np.isnan(vals)])
-    min_margin = float(margins.min()) if margins.size else math.inf
+    bad = dec.sign_matrix() != target
     rational = a.size <= RATIONAL_CHECK_CELL_CAP
     if rational:
         coeffs = [row.integer_coefficients(dec.width)[0] for row in dec.rows]
@@ -225,10 +211,7 @@ def verify_sign_decomposition(adj, dec: SignDecomposition) -> SignVerification:
         bad |= ~np.where(target > 0, exact > 0, exact < 0)
     mismatches = list(map(tuple, np.argwhere(bad).tolist()))
     return SignVerification(
-        ok=not mismatches,
-        min_margin=min_margin,
-        mismatches=mismatches,
-        rational_checked=rational,
+        ok=not mismatches, mismatches=mismatches, rational_checked=rational
     )
 
 

@@ -98,7 +98,7 @@ def test_criterion_2_sign_decomposition_property():
         assert dec.width == 2 * c + 1
         ver = verify_sign_decomposition(adj, dec)
         assert ver.ok, f"instance {i}: mismatches {ver.mismatches[:5]}"
-        assert ver.min_margin > 0
+        assert np.array_equal(dec.sign_matrix(), 2 * adj - 1)
         rational_checked += ver.rational_checked
     assert rational_checked >= 50
     assert time.perf_counter() - t0 < 60.0

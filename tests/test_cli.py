@@ -307,6 +307,21 @@ def test_eval_reports_a_checkpoint_missing_an_array(toy_dir, tmp_path, capsys):
     assert err.startswith("error: ") and "missing array 'relations'" in err
 
 
+def test_eval_reports_a_checkpoint_whose_extra_is_not_an_object(toy_dir, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert _train(toy_dir, out_dir)[0] == 0
+    path = out_dir / "checkpoint.kgm"
+    head, blob = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["extra"] = [1]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    rc, _ = run_cli(["eval", "--checkpoint", path, "--dataset", toy_dir])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed checkpoint header")
+    assert "extra is not an object" in err
+
+
 def test_analyze_bound():
     out = run_json(["analyze", "bound", "--n", 4, "--dim", 2])
     assert out == {"n": 4, "dim": 2, "feasible_sign_bound": 8}
@@ -348,8 +363,18 @@ def test_analyze_decompose_random():
     assert out["verified"] is True
     assert out["width"] == 2 * out["degree_cap"] + 1
     assert out["mismatches"] == 0
-    assert out["min_margin"] > 0
     assert out["epsilon"] == "1/2"
+
+
+def test_analyze_decompose_tiny_epsilon_verifies():
+    """Roots 1e-20 off the grid points are beyond float resolution; the
+    signs are decided exactly, so the decomposition verifies."""
+    out = run_json([
+        "analyze", "decompose", "--rows", 20, "--cols", 20, "--max-degree", 4,
+        "--epsilon", "1/100000000000000000000",
+    ])
+    assert out["verified"] is True and out["mismatches"] == 0
+    assert out["epsilon"] == "1/100000000000000000000"
 
 
 def test_python_dash_m_runs_the_cli_from_a_checkout():
@@ -440,7 +465,6 @@ DEGREE_GRAPH_DECOMPOSE = (
     '  "degree_cap": 4,\n'
     '  "epsilon": "1/2",\n'
     '  "merged_blocks": true,\n'
-    '  "min_margin": 0.5625,\n'
     '  "mismatches": 0,\n'
     '  "rational_checked": true,\n'
     '  "rows": 16,\n'

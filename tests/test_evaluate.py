@@ -529,9 +529,9 @@ def test_candidate_ids_out_of_range_raise():
 
 
 def test_candidate_ids_must_be_integers(toy_store):
-    """A float, bool or string id is rejected, not truncated or parsed into
-    another entity's id; any Python or numpy integer, or an int array, is
-    taken as it is."""
+    """A float, bool or string id, or a float or bool array, is rejected,
+    not truncated or parsed into another entity's id; any Python or numpy
+    integer, or an integer array, is taken as it is."""
     _, score_fn = _score_table(toy_store)
     for bad, name in (
         ([[0.9, 4.7], [1, 3]], "float"),
@@ -540,12 +540,17 @@ def test_candidate_ids_must_be_integers(toy_store):
         ([[0, np.float64(4.0)], [1]], "float64"),
         ([[0, 4], [np.bool_(True)]], "bool"),
         ([[0, None], [1]], "NoneType"),
+        (np.array([[0.0, 4.0], [1.0, 3.0]]), "float64"),
+        (np.array([[0, 4], [1, 3]], dtype=np.float32), "float32"),
+        (np.array([[False, True], [True, False]]), "bool"),
     ):
         with pytest.raises(ValueError, match=f"must be integers, got {name}$"):
             ranking_metrics(score_fn, toy_store, "test", candidates=bad)
     want = ranking_metrics(score_fn, toy_store, "test", candidates=[[0, 2, 4], [0, 1]])
     for ints in ([[np.int32(0), 2, np.uint8(4)], [0, np.int64(1)]],
-                 np.array([[0, 2, 4], [0, 1, 1]])):
+                 *(np.array([[0, 2, 4], [0, 1, 1]], dtype=d)
+                   for d in (np.int64, np.int32, np.uint16)),
+                 np.array([[0, 2, 4], [0, 1, 1]], dtype=object)):
         got = ranking_metrics(score_fn, toy_store, "test", candidates=ints)
         assert got.per_query == want.per_query
 

@@ -275,7 +275,8 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
     m = init_model("distmult", 3, 2, 2, seed=0)
     path = str(tmp_path / "m.kgm")
     save_checkpoint(path, m)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     head, blob = raw.split(b"\n", 1)
     import json
 
@@ -291,7 +292,8 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
     m = init_model("distmult", 3, 2, 2, seed=0)
     path = str(tmp_path / "m.kgm")
     save_checkpoint(path, m)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     trunc = tmp_path / "trunc.kgm"
     trunc.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
@@ -325,7 +327,8 @@ def test_checkpoint_header_names_for_a_two_component_mixture(tmp_path):
 def _rewrite_header(path, edit):
     import json
 
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     head, blob = raw.split(b"\n", 1)
     header = json.loads(head)
     edit(header)
@@ -343,6 +346,7 @@ def _rewrite_header(path, edit):
          r"array 'relations' has shape \[3, 2\], expected \[2, 3\]"),
         (lambda h: h["arrays"].append(dict(h["arrays"][0])), "listed twice"),
         (lambda h: h.pop("encoder"), "malformed checkpoint header"),
+        (lambda h: h.update(extra=[1]), r"malformed checkpoint header \(extra is not an object\)"),
     ],
 )
 def test_checkpoint_rejects_header_arrays_that_do_not_match(tmp_path, edit, message):

@@ -33,6 +33,16 @@ from kgmix.theory import (
 # ---- sign decomposition ----
 
 
+def _exact_value(poly, t):
+    """sigma * prod_j (t - r_j) in Fractions."""
+    return poly.sigma * math.prod(Fraction(t) - r for r in poly.roots)
+
+
+def _exact_sign(poly, t):
+    v = _exact_value(poly, t)
+    return (v > 0) - (v < 0)
+
+
 def test_sign_decompose_worked_example():
     """Row (0,0,1,0,1,0): two isolated neighbor columns at grid points 3
     and 5, roots straddling each at distance 1/2, overall minus sign."""
@@ -44,14 +54,12 @@ def test_sign_decompose_worked_example():
     assert row.roots == [
         Fraction(5, 2), Fraction(7, 2), Fraction(9, 2), Fraction(11, 2)
     ]
-    values = [row.eval_float(t) for t in range(1, 7)]
-    assert values == pytest.approx(
-        [-59.0625, -6.5625, 0.9375, -0.5625, 0.9375, -6.5625], abs=1e-12
-    )
+    values = [_exact_value(row, t) for t in range(1, 7)]
+    assert values == [Fraction(v, 16) for v in (-945, -105, 15, -9, 15, -105)]
     ver = verify_sign_decomposition(adj, dec)
     assert ver.ok and ver.rational_checked
-    assert ver.min_margin == pytest.approx(0.5625, abs=1e-12)
     assert ver.mismatches == []
+    assert dec.sign_matrix().tolist() == [[-1, -1, 1, -1, 1, -1]]
 
 
 def test_sign_decompose_merges_consecutive_columns():
@@ -86,17 +94,16 @@ def test_sign_decompose_row_degree_never_exceeds_2c():
 
 def test_coefficient_matrix_reproduces_factored_values():
     """X @ V^T, with V the grid v[t - 1, j] = t**j, must equal the factored
-    evaluations, so the decomposition really is a rank-(2c+1)
+    evaluations exactly, so the decomposition really is a rank-(2c+1)
     factorization of the sign pattern."""
     adj = np.array([[0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0]])
     dec = sign_decompose(adj)
-    x = np.array(dec.coefficient_matrix_exact(), dtype=np.float64)
-    v = np.arange(1.0, 5.0)[:, None] ** np.arange(dec.width)
+    x = np.array(dec.coefficient_matrix_exact(), dtype=object)
+    v = np.array([[Fraction(t) ** j for j in range(dec.width)] for t in range(1, 5)])
     z = x @ v.T
     for i, row in enumerate(dec.rows):
-        want = [row.eval_float(t) for t in range(1, 5)]
-        assert z[i] == pytest.approx(want, abs=1e-9)
-    assert np.array_equal(np.sign(z).astype(np.int64), 2 * adj - 1)
+        assert z[i].tolist() == [_exact_value(row, t) for t in range(1, 5)]
+    assert np.array_equal(np.sign(z.astype(np.float64)).astype(np.int64), 2 * adj - 1)
 
 
 def test_row_poly_coefficients_closed_form():
@@ -108,7 +115,7 @@ def test_row_poly_coefficients_closed_form():
         poly.coefficients(2)
     # p(1) = -(1/2)(-1/2) = 1/4, the sum of the coefficients
     assert sum(poly.coefficients(3)) == Fraction(1, 4)
-    assert poly.eval_float(1.0) == pytest.approx(0.25, abs=1e-15)
+    assert _exact_value(poly, 1) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("epsilon", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)])
@@ -122,7 +129,7 @@ def test_sign_decompose_random_adjacencies(epsilon, merge):
         dec = sign_decompose(adj, epsilon, merge_blocks=merge)
         ver = verify_sign_decomposition(adj, dec)
         assert ver.ok and ver.rational_checked, (adj, ver.mismatches)
-        assert ver.min_margin > 0
+        assert np.array_equal(dec.sign_matrix(), 2 * adj - 1)
 
 
 def test_verify_detects_tampering():
@@ -133,7 +140,7 @@ def test_verify_detects_tampering():
     assert not ver.ok and ver.mismatches
 
 
-# ---- the vectorized float pass and the integer check against scalar loops ----
+# ---- the root-parity signs and the integer check against scalar loops ----
 
 
 def _loop_coefficients(poly, width):
@@ -150,43 +157,36 @@ def _loop_coefficients(poly, width):
     return coeffs + [Fraction(0)] * (width - len(coeffs))
 
 
-def _loop_verify(adj, dec, rational):
-    """The per-cell reference: eval_float at every cell, then the dense
-    Fraction coefficients evaluated at every cell.  Returns (ok, min_margin,
-    mismatches)."""
+def _loop_verify(adj, dec):
+    """The per-cell reference: the factored product in Fractions and the
+    dense Fraction coefficients, each evaluated at every cell.  Returns
+    (ok, mismatches)."""
     target = 2 * np.asarray(adj) - 1
     mismatches = []
-    min_margin = math.inf
     for i, row in enumerate(dec.rows):
+        coeffs = _loop_coefficients(row, dec.width)
         for t in range(1, dec.n_cols + 1):
-            v = row.eval_float(t)
-            min_margin = min(min_margin, abs(v))
-            if (1 if v > 0 else (-1 if v < 0 else 0)) != target[i, t - 1]:
+            if _exact_sign(row, t) != target[i, t - 1]:
                 mismatches.append((i, t - 1))
-    if rational:
-        for i, row in enumerate(dec.rows):
-            coeffs = _loop_coefficients(row, dec.width)
-            for t in range(1, dec.n_cols + 1):
-                acc, power = Fraction(0), Fraction(1)
-                for cf in coeffs:
-                    acc += cf * power
-                    power *= t
-                if (1 if acc > 0 else (-1 if acc < 0 else 0)) != target[i, t - 1]:
-                    mismatches.append((i, t - 1))
-    return not mismatches, min_margin, sorted(set(mismatches))
+            acc, power = Fraction(0), Fraction(1)
+            for cf in coeffs:
+                acc += cf * power
+                power *= t
+            if (1 if acc > 0 else (-1 if acc < 0 else 0)) != target[i, t - 1]:
+                mismatches.append((i, t - 1))
+    return not mismatches, sorted(set(mismatches))
 
 
 def _loop_sign_matrix(dec):
     return np.array(
-        [[1 if row.eval_float(t) > 0 else -1 for t in range(1, dec.n_cols + 1)]
-         for row in dec.rows],
+        [[_exact_sign(row, t) for t in range(1, dec.n_cols + 1)] for row in dec.rows],
         dtype=np.int64,
     ).reshape(len(dec.rows), dec.n_cols)
 
 
-def _float_only(adj, dec, monkeypatch):
-    """verify_sign_decomposition with its exact check cut off by a cap of
-    zero cells: the vectorized float pass alone."""
+def _parity_only(adj, dec, monkeypatch):
+    """verify_sign_decomposition with its coefficient check cut off by a
+    cap of zero cells: the root-parity signs alone."""
     with monkeypatch.context() as m:
         m.setattr(theory, "RATIONAL_CHECK_CELL_CAP", 0)
         ver = verify_sign_decomposition(adj, dec)
@@ -196,11 +196,10 @@ def _float_only(adj, dec, monkeypatch):
 
 def _assert_matches_loops(adj, dec):
     ver = verify_sign_decomposition(adj, dec)
-    ok, margin, mismatches = _loop_verify(adj, dec, rational=True)
+    ok, mismatches = _loop_verify(adj, dec)
     assert ver.rational_checked
     assert ver.ok == ok
     assert ver.mismatches == mismatches
-    assert ver.min_margin == margin  # bitwise, not approximately
     assert np.array_equal(dec.sign_matrix(), _loop_sign_matrix(dec))
     assert dec.coefficient_matrix_exact() == [
         _loop_coefficients(row, dec.width) for row in dec.rows
@@ -222,7 +221,7 @@ def test_verify_matches_scalar_loops(epsilon, merge):
             adj[-1] = 0
         dec = sign_decompose(adj, epsilon, merge_blocks=merge)
         ver = _assert_matches_loops(adj, dec)
-        assert ver.ok and ver.min_margin > 0
+        assert ver.ok
 
 
 @pytest.mark.parametrize(
@@ -242,28 +241,29 @@ def test_tampered_roots_are_flagged_by_both_branches(epsilon, monkeypatch):
         row = dec.rows[i]
         lo = row.roots[0] + epsilon
         row.roots[1] = lo - Fraction(1, 5)
-        float_only = _float_only(adj, dec, monkeypatch)
-        assert (i, int(lo) - 1) in float_only.mismatches
+        parity_only = _parity_only(adj, dec, monkeypatch)
+        assert (i, int(lo) - 1) in parity_only.mismatches
         ver = _assert_matches_loops(adj, dec)
         assert not ver.ok and (i, int(lo) - 1) in ver.mismatches
         flagged += 1
     assert flagged >= 20
 
 
-def test_exact_branch_flags_what_the_float_pass_misses():
-    """A float value of the wrong sign cannot hide from the integer
-    check: a root exactly on a grid point makes the exact value 0."""
+def test_root_on_a_grid_point_is_a_mismatch(monkeypatch):
+    """A root exactly on a grid point makes the value there 0, which both
+    the parity signs and the integer check flag."""
     adj = np.array([[0, 1, 0, 0]])
     dec = sign_decompose(adj)
     dec.rows[0].roots[0] = Fraction(2)  # p(2) = 0 exactly
+    assert dec.sign_matrix().tolist() == [[-1, 0, -1, -1]]
+    assert _parity_only(adj, dec, monkeypatch).mismatches == [(0, 1)]
     ver = _assert_matches_loops(adj, dec)
     assert ver.mismatches == [(0, 1)]
-    assert ver.min_margin == 0.0
 
 
 def test_exact_check_flags_a_wrong_coefficient_row(monkeypatch):
     """Integer coefficients that disagree with the row's roots pass the
-    float pass, which reads the roots; the exact product flags exactly the
+    parity signs, which read the roots; the exact product flags exactly the
     cells where the coefficients take the wrong sign."""
     adj = np.array([[0, 1, 0, 0, 1, 0, 0], [1, 0, 0, 1, 1, 0, 0], [0, 0, 1, 0, 0, 0, 1]])
     dec = sign_decompose(adj)
@@ -273,7 +273,7 @@ def test_exact_check_flags_a_wrong_coefficient_row(monkeypatch):
         Fraction(1, 2), Fraction(3, 2), Fraction(9, 2), Fraction(11, 2)
     ]).integer_coefficients(dec.width)
     monkeypatch.setattr(dec.rows[1], "integer_coefficients", lambda width: wrong)
-    assert _float_only(adj, dec, monkeypatch).ok
+    assert _parity_only(adj, dec, monkeypatch).ok
     ver = verify_sign_decomposition(adj, dec)
     assert ver.rational_checked and not ver.ok
     assert ver.mismatches == [(1, 3)]
@@ -306,12 +306,20 @@ def test_degree_above_width_still_raises(monkeypatch):
     dec.rows[0].roots += [Fraction(7, 2), Fraction(9, 2)]  # degree 4, width 3
     with pytest.raises(ValueError, match="width"):
         dec.coefficient_matrix_exact()
-    with pytest.raises(ValueError, match="width"):
+    for check in (verify_sign_decomposition, lambda *a: _parity_only(*a, monkeypatch)):
+        with pytest.raises(ValueError, match="row 0: polynomial degree 4 exceeds the requested width 3"):
+            check(adj, dec)
+    # past the coefficient check's cap, the row's degree is still checked:
+    # six extra roots beyond the grid change no sign but overflow the width
+    adj = np.zeros((20, 20), dtype=np.int64)
+    adj[3, [2, 7]] = 1
+    dec = sign_decompose(adj)
+    assert adj.size > theory.RATIONAL_CHECK_CELL_CAP and dec.width == 5
+    dec.rows[3].roots += [Fraction(47, 2)] * 6  # degree 10
+    with pytest.raises(ValueError, match="row 3: polynomial degree 10 exceeds the requested width 5"):
         verify_sign_decomposition(adj, dec)
-    # the float pass alone needs no dense form
-    float_only = _float_only(adj, dec, monkeypatch)
-    ok, margin, mismatches = _loop_verify(adj, dec, rational=False)
-    assert (float_only.ok, float_only.min_margin, float_only.mismatches) == (ok, margin, mismatches)
+    with pytest.raises(ValueError, match="row 3"):
+        dec.sign_matrix()
 
 
 def test_verify_rejects_a_row_count_other_than_n_rows():
@@ -335,10 +343,54 @@ def test_verify_and_sign_matrix_scale_to_the_cli_cap():
     t1 = time.perf_counter()
     signs = dec.sign_matrix()
     t2 = time.perf_counter()
-    assert ver.ok and not ver.rational_checked and ver.min_margin > 0
+    assert ver.ok and not ver.rational_checked
     assert np.array_equal(signs, 2 * adj - 1)
     assert t1 - t0 < 5.0, f"verify took {t1 - t0:.1f} s"
     assert t2 - t1 < 5.0, f"sign_matrix took {t2 - t1:.1f} s"
+
+
+def test_sign_matrix_matches_fractions_on_arbitrary_roots():
+    """Roots below, inside and past the grid, on grid points, repeated, and
+    with any sign of sigma: every cell's sign is the Fraction product's."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        m = int(rng.integers(1, 12))
+        rows = []
+        for _ in range(int(rng.integers(1, 6))):
+            num = rng.integers(-3 * m, 3 * m + 8, size=int(rng.integers(0, 7)))
+            den = rng.choice([1, 1, 2, 3, 7, 10**15], size=num.size)
+            roots = [Fraction(int(a), int(b)) for a, b in zip(num, den)]
+            sigma = [-1, 1, 2, Fraction(-3, 2), 0][int(rng.integers(5))]
+            rows.append(RowSignPoly(sigma=sigma, roots=roots))
+        dec = theory.SignDecomposition(
+            n_rows=len(rows), n_cols=m, degree_cap=3, epsilon=Fraction(1, 2), rows=rows
+        )
+        assert np.array_equal(dec.sign_matrix(), _loop_sign_matrix(dec))
+
+
+def test_tiny_epsilon_verifies_past_float_resolution():
+    """Roots at lo - 1e-13 and hi + 1e-13 round onto the grid point in
+    floats; the parity signs read the rationals and stay exact."""
+    adj = random_adjacency(30, 5000, 6, np.random.default_rng(0))
+    dec = sign_decompose(adj, Fraction(1, 10**13))
+    ver = verify_sign_decomposition(adj, dec)
+    assert ver.ok and ver.mismatches == [] and not ver.rational_checked
+    assert np.array_equal(dec.sign_matrix(), 2 * adj - 1)
+
+
+def test_sign_matrix_at_degree_two_thousand():
+    """Width 2,001: one row with 1,000 isolated neighbors (2,000 roots),
+    whose factored product overflows a float, and one merged block."""
+    adj = np.zeros((2, 2000), dtype=np.int64)
+    adj[0, ::2] = 1
+    adj[1, 300:1000] = 1
+    dec = sign_decompose(adj)
+    assert dec.width == 2001 and [len(r.roots) for r in dec.rows] == [2000, 2]
+    signs = dec.sign_matrix()
+    assert np.array_equal(signs, 2 * adj - 1)
+    for t in (1, 2, 1000, 1999, 2000):
+        assert signs[0, t - 1] == _exact_sign(dec.rows[0], t)
+    assert verify_sign_decomposition(adj, dec).ok
 
 
 def test_sign_decompose_validation():
