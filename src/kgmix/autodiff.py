@@ -6,8 +6,8 @@ adjoints into Parameter.grad.  The op set is deliberately closed: it holds
 the ops that training (train.batch_loss) and inference (models.Scorer)
 record, plus weighted_sum, the 1x1 readout that reduces any node to a loss
 for tests and the benchmark's tracer test.  Each has a hand-written
-adjoint, and finite_difference_check certifies all of them against
-central differences.  Elementwise ops take equal shapes; nothing
+adjoint, and the tests certify all of them against central
+differences.  Elementwise ops take equal shapes; nothing
 broadcasts.  The whole training objective, cross-entropy less the
 weighted prior entropy, is one fused op, mixture_xent, and the inference
 head is numpy (mos.head_log_probs), so no (batch x entities) matrix goes
@@ -57,9 +57,10 @@ class Parameter:
 
 
 def log_softmax_rows(z: np.ndarray) -> np.ndarray:
-    """z - (max + log sum exp(z - max)) along rows, written into z."""
-    mx = z.max(axis=1, keepdims=True)
-    z -= mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True))
+    """z - (max + log sum exp(z - max)) along rows, written into z; the
+    sums come from exp_shifted_rows on one scratch copy of z."""
+    mx, s = exp_shifted_rows(z.copy())
+    z -= mx + np.log(s)
     return z
 
 
@@ -89,13 +90,16 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarr
 
 
 class BatchNormState:
-    """Running-moment buffers for one batch-norm layer (not trained)."""
+    """Running-moment buffers for one batch-norm layer (not trained), with
+    the variance offset eps and the running-moment update rate momentum
+    fixed for every layer."""
 
-    def __init__(self, width: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, width: int):
         self.running_mean = np.zeros((1, width))
         self.running_var = np.ones((1, width))
-        self.eps = eps
-        self.momentum = momentum
 
 
 class Node:
@@ -471,35 +475,3 @@ def _mixture_xent_rule(node: Node, g: np.ndarray):
     # op with g == 1.0, so the product leaves them bitwise as they are, and
     # the ctx stays as forward left it: a second backward repeats the first
     return tuple(g[0, 0] * x for x in node.ctx["grads"])
-
-
-def finite_difference_check(build, params, eps: float = 1e-6) -> float:
-    """Certify tape gradients against central differences.
-
-    build(tape) must deterministically record a fresh forward pass on the
-    new Tape it is given and return its 1x1 loss node.  Every entry of
-    every parameter in `params` is perturbed by +-eps.  Returns the maximum
-    relative error, where the denominator is floored at 1e-3 so that
-    entries with near-zero gradient are compared absolutely at that scale.
-    """
-    for p in params:
-        p.zero_grad()
-    tape = Tape()
-    tape.backward(build(tape))
-    analytic = [p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, grad in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(build(Tape()).value[0, 0])
-            flat[i] = orig - eps
-            f_minus = float(build(Tape()).value[0, 0])
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            denom = max(abs(fd), abs(gflat[i]), 1e-3)
-            worst = max(worst, abs(fd - gflat[i]) / denom)
-    return worst

@@ -260,7 +260,7 @@ def cmd_decompose(args) -> int:
             raise ValueError("need --dataset, or --rows/--cols/--max-degree")
         rng = np.random.default_rng(args.seed)
         adj = theory.random_adjacency(args.rows, args.cols, args.max_degree, rng)
-    dec = theory.sign_decompose(adj, epsilon=epsilon, merge_blocks=not args.no_merge)
+    dec = theory.sign_decompose(adj, epsilon=epsilon)
     check = theory.verify_sign_decomposition(adj, dec)
     _emit(
         {
@@ -269,7 +269,6 @@ def cmd_decompose(args) -> int:
             "degree_cap": dec.degree_cap,
             "width": dec.width,
             "epsilon": str(dec.epsilon),
-            "merged_blocks": not args.no_merge,
             "verified": check.ok,
             "rational_checked": check.rational_checked,
             "mismatches": len(check.mismatches),
@@ -416,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", default="1/2",
                    help="root offset as a fraction, strictly inside (0, 1)")
-    p.add_argument("--no-merge", action="store_true",
-                   help="one root pair per neighbor instead of per block")
     _add_out(p)
     p.set_defaults(func=cmd_decompose)
 

@@ -382,22 +382,22 @@ def degree_stats(store: TripleStore, splits=("train", "valid", "test")) -> Degre
     )
 
 
-def sufficient_dim(stats) -> int:
+def sufficient_dim(c: int) -> int:
     """Embedding width 2*c + 1 that the sign construction needs, where c is
-    the maximum out-degree (pass a DegreeStats or the integer c itself)."""
-    c = stats.max if isinstance(stats, DegreeStats) else int(stats)
+    the maximum out-degree."""
     if c < 0:
         raise ValueError("max out-degree must be non-negative")
     return 2 * c + 1
 
 
-def dataset_stats(store: TripleStore, splits=("train", "valid", "test")) -> dict:
-    """JSON-ready dataset summary, with and without inverse augmentation."""
+def dataset_stats(store: TripleStore) -> dict:
+    """JSON-ready dataset summary over all three splits, with and without
+    inverse augmentation."""
     if store.inverse_augmented:
         raise ValueError("dataset_stats expects the unaugmented store")
 
     def variant(st: TripleStore) -> dict:
-        d = degree_stats(st, splits)
+        d = degree_stats(st)
         return {
             "relations": st.n_relations,
             "query_pairs": d.pairs,
@@ -405,7 +405,7 @@ def dataset_stats(store: TripleStore, splits=("train", "valid", "test")) -> dict
             "out_degree_mean": d.mean,
             "out_degree_median": d.median,
             "out_degree_max": d.max,
-            "sufficient_dim": sufficient_dim(d),
+            "sufficient_dim": sufficient_dim(d.max),
         }
 
     plain = variant(store)

@@ -94,7 +94,6 @@ def init_mos(k: int, dim: int, rng: np.random.Generator) -> MosParams:
 
 
 def project(
-    mos: MosParams,
     component: MosComponent,
     h: Node,
     tape: Tape,
@@ -137,7 +136,7 @@ def mixture_states(
     logits = tape.matmul(h, tape.param(mos.omegas))
     log_pi = tape.row_log_softmax(logits)
     states = [
-        project(mos, comp, h, tape, training, dropout, rng)
+        project(comp, h, tape, training, dropout, rng)
         for comp in mos.components
     ]
     return log_pi, states
@@ -149,7 +148,8 @@ def head_log_probs(states, entities, log_pi=None) -> np.ndarray:
     one state and log_pi=None.  log_pi must be (batch, k).
 
     One component is log_softmax_rows, bitwise the tape's row_log_softmax
-    (a one-column log_pi is exactly 0).  For more, each Z_k goes through
+    (a one-column log_pi is exactly 0, and is added in place), so it holds
+    the score block and one scratch block.  For more, each Z_k goes through
     exp_shifted_rows in one reused buffer, then is added into one
     accumulator with weight pi_k / (s_k max_k pi_k), s_k its row sum: the
     row is shifted by its largest log-prior, so each entry stays at or
@@ -162,7 +162,9 @@ def head_log_probs(states, entities, log_pi=None) -> np.ndarray:
         raise ValueError(f"log_pi must be {shape}, got {log_pi.shape}")
     if len(states) == 1:
         out = log_softmax_rows(states[0] @ entities.T)
-        return out if log_pi is None else out + log_pi
+        if log_pi is not None:
+            out += log_pi
+        return out
     if log_pi is None:
         raise ValueError("head_log_probs needs log_pi for more than one component")
     shift = log_pi.max(axis=1, keepdims=True)

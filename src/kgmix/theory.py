@@ -5,11 +5,12 @@ Three families of checks live here, all certificate-producing:
 * Sign decomposition: any 0/1 adjacency with max out-degree c can be
   written as sign(X @ V^T) where V is the 2c+1-column integer Vandermonde
   grid v[t, j] = t^j and row i of X holds the coefficients of a polynomial
-  that is positive exactly on i's neighbor columns.  This realizes every
-  sign pattern of the adjacency in dimension 2c+1.  The check takes every
-  sign exactly from the parity of the roots above each grid point, and
-  small grids also evaluate the dense coefficient form in exact integer
-  arithmetic.
+  with one pair of roots around each run of consecutive neighbor columns,
+  so it is positive exactly on i's neighbor columns.  A row has at most c
+  runs, so this realizes every sign pattern of the adjacency in dimension
+  2c+1.  The check takes every sign exactly from the parity of the roots
+  above each grid point, and small grids also evaluate the dense
+  coefficient form in exact integer arithmetic.
 
 * Feasible sign/ranking enumeration: which of the 2^N sign patterns (or N!
   score orderings) over N fixed embedding rows are realized by some query
@@ -42,13 +43,16 @@ RATIONAL_CHECK_CELL_CAP = 256
 MAX_SIGN_ROWS = 16  # up to 2^N chambers, each with a stored witness
 MAX_RANKING_ROWS = 7  # N(N-1)/2 difference hyperplanes, up to N! chambers
 MAX_RANKING_DIM = 3
+# a row norm, determinant or smallest singular value at or below this makes
+# rows degenerate for the general-position checks and the enumerators
+_GENERAL_POSITION_TOL = 1e-9
 
 
 def _validate_binary(adj) -> np.ndarray:
     a = np.asarray(adj)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("adjacency must be a non-empty 2-D matrix")
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise ValueError("adjacency entries must be 0 or 1")
     return a.astype(np.int64)
 
@@ -135,14 +139,15 @@ class SignDecomposition:
         return signs
 
 
-def sign_decompose(adj, epsilon=Fraction(1, 2), merge_blocks: bool = True) -> SignDecomposition:
+def sign_decompose(adj, epsilon=Fraction(1, 2)) -> SignDecomposition:
     """Build per-row polynomials whose integer-grid signs equal 2*adj - 1.
 
-    Row i gets a pair of roots a - eps, b + eps around each block [a, b] of
-    consecutive neighbor columns (each single column is its own block when
-    merge_blocks is False), and an overall minus sign, so the polynomial is
-    positive exactly inside the blocks.  All-zero rows use the constant -1,
-    all-one rows the constant +1.  Total width is always 2c + 1.
+    Row i gets a pair of roots lo - eps, hi + eps around each run [lo, hi]
+    of consecutive neighbor columns on the grid t = 1..n_cols, and an
+    overall minus sign, so the polynomial is positive exactly inside the
+    runs.  A row with r neighbors has at most r runs, so its degree is at
+    most 2c and the width 2c + 1.  All-zero rows use the constant -1,
+    all-one rows the constant +1.
     """
     a = _validate_binary(adj)
     eps = Fraction(epsilon)
@@ -150,32 +155,20 @@ def sign_decompose(adj, epsilon=Fraction(1, 2), merge_blocks: bool = True) -> Si
         raise ValueError("epsilon must lie strictly between 0 and 1")
     n, m = a.shape
     c = int(a.sum(axis=1).max())
-    rows = []
-    for i in range(n):
-        ones = np.flatnonzero(a[i]) + 1  # 1-based grid positions
-        if ones.size == 0:
-            rows.append(RowSignPoly(sigma=-1, roots=[]))
-            continue
-        if ones.size == m:
-            rows.append(RowSignPoly(sigma=1, roots=[]))
-            continue
-        blocks = []
-        start = prev = int(ones[0])
-        for t in ones[1:]:
-            t = int(t)
-            if t == prev + 1 and merge_blocks:
-                prev = t
-                continue
-            blocks.append((start, prev))
-            start = prev = t
-        blocks.append((start, prev))
-        roots: list[Fraction] = []
-        for lo, hi in blocks:
-            roots.append(Fraction(lo) - eps)
-            roots.append(Fraction(hi) + eps)
-        if len(roots) > 2 * c:
-            raise AssertionError("row degree exceeded 2c")
-        rows.append(RowSignPoly(sigma=-1, roots=roots))
+    full = a.all(axis=1)
+    # +1 at column lo - 1 where a run [lo, hi] of the 1-based grid starts,
+    # -1 at column hi, one past its end
+    edges = np.diff(a, axis=1, prepend=0, append=0)
+    edges[full] = 0  # all-one rows are the constant +1
+    row, col = np.nonzero(edges)
+    start = edges[row, col] > 0
+    grid = (col + start).tolist()  # lo, or hi
+    roots = [t - eps if s else t + eps for t, s in zip(grid, start.tolist())]
+    ends = np.cumsum(np.bincount(row, minlength=n)).tolist()
+    rows = [
+        RowSignPoly(sigma=1 if f else -1, roots=roots[lo:hi])
+        for f, lo, hi in zip(full.tolist(), [0, *ends[:-1]], ends)
+    ]
     return SignDecomposition(
         n_rows=n, n_cols=m, degree_cap=c, epsilon=eps, rows=rows
     )
@@ -257,10 +250,10 @@ def feasible_ordering_bound(n: int, d: int) -> int:
     return 2 * sum(c[n - i] for i in range(d - 1, -1, -2) if i <= n)
 
 
-def _unit_rows(e: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _unit_rows(e: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(e, axis=1)
-    if (norms <= tol).any():
-        raise ValueError(f"{what}: zero row (norm <= {tol})")
+    if (norms <= _GENERAL_POSITION_TOL).any():
+        raise ValueError(f"{what}: zero row (norm <= {_GENERAL_POSITION_TOL})")
     return e / norms[:, None]
 
 
@@ -279,33 +272,33 @@ def _combinations(n: int, k: int) -> np.ndarray:
     return np.array(list(subsets), dtype=np.int64).reshape(math.comb(n, k), k)
 
 
-def _first_dependent(sub: np.ndarray, tol: float) -> int | None:
+def _first_dependent(sub: np.ndarray) -> int | None:
     """Index of the first stacked (k, d) matrix, k <= d, whose rows are
     numerically dependent (|det|, or the smallest singular value when
-    k < d, at or below tol), or None."""
+    k < d, at or below _GENERAL_POSITION_TOL), or None."""
     k, d = sub.shape[1:]
     if k == d:
-        bad = np.abs(np.linalg.det(sub)) <= tol
+        bad = np.abs(np.linalg.det(sub)) <= _GENERAL_POSITION_TOL
     else:
-        bad = np.linalg.svd(sub, compute_uv=False)[:, -1] <= tol
+        bad = np.linalg.svd(sub, compute_uv=False)[:, -1] <= _GENERAL_POSITION_TOL
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def check_general_position_signs(e, tol: float = 1e-9) -> None:
+def check_general_position_signs(e) -> None:
     """Reject non-finite and zero rows, coincident directions, and
     degenerate d-subsets; the first degenerate subset in combinations order
     is named."""
     e = linalg.as_matrix(e)
     n, d = e.shape
     _require_rows(e, "sign enumeration")
-    en = _unit_rows(e, tol, "sign enumeration")
+    en = _unit_rows(e, "sign enumeration")
     if d >= 2:
         gram = np.abs(en @ en.T)
         np.fill_diagonal(gram, 0.0)
         if (gram > 1.0 - 1e-12).any():
             raise ValueError("sign enumeration: coincident row directions")
     subsets = _combinations(n, min(n, d))
-    bad = _first_dependent(en[subsets], tol)
+    bad = _first_dependent(en[subsets])
     if bad is not None:
         raise ValueError(
             f"sign enumeration: rows {tuple(subsets[bad].tolist())} are "
@@ -326,7 +319,7 @@ def _forests(edges: np.ndarray, n: int) -> np.ndarray:
     return acyclic
 
 
-def check_general_position_rankings(e, tol: float = 1e-9) -> None:
+def check_general_position_rankings(e) -> None:
     """Genericity for score orderings: all rows finite and distinct, and
     every acyclic (forest) subset of pairwise difference vectors has full
     rank; the first degenerate forest in combinations order is named.
@@ -343,13 +336,13 @@ def check_general_position_rankings(e, tol: float = 1e-9) -> None:
     if diffs.size == 0:
         return
     norms = np.linalg.norm(diffs, axis=1)
-    if (norms <= tol).any():
+    if (norms <= _GENERAL_POSITION_TOL).any():
         i, j = pairs[int(np.argmin(norms))].tolist()
         raise ValueError(f"ranking enumeration: rows {i} and {j} coincide")
     dn = diffs / norms[:, None]
     subsets = _combinations(len(pairs), min(d, n - 1))  # a forest has <= n - 1 edges
     subsets = subsets[_forests(pairs[subsets], n)]
-    bad = _first_dependent(dn[subsets], tol)
+    bad = _first_dependent(dn[subsets])
     if bad is not None:
         edges = list(map(tuple, pairs[subsets[bad]].tolist()))
         raise ValueError(
@@ -360,7 +353,7 @@ def check_general_position_rankings(e, tol: float = 1e-9) -> None:
 
 # |a . v| at or below this (unit normal a, unit ray v) puts v on a's
 # hyperplane; the general-position checks keep every other hyperplane above
-# their 1e-9 determinant tolerance
+# _GENERAL_POSITION_TOL
 _ON_HYPERPLANE_TOL = 1e-10
 
 
@@ -557,7 +550,7 @@ def enumerate_feasible_signs(e) -> SignEnumeration:
         raise ValueError(f"sign enumeration capped at {MAX_SIGN_ROWS} rows")
     bound = feasible_sign_bound(n, d)  # rejects n < 1 and d < 1
     check_general_position_signs(e)
-    points = _chamber_points(_unit_rows(e, 1e-9, "sign enumeration"))
+    points = _chamber_points(_unit_rows(e, "sign enumeration"))
     s = points @ e.T
     strict = (s != 0).all(axis=1)
     found = {}
@@ -599,7 +592,7 @@ def enumerate_feasible_rankings(e) -> RankingEnumeration:
     bound = feasible_ordering_bound(n, d)  # rejects n < 1 and d < 1
     check_general_position_rankings(e)
     i, j = np.triu_indices(n, 1)
-    points = _chamber_points(_unit_rows(e[i] - e[j], 1e-9, "ranking enumeration"))
+    points = _chamber_points(_unit_rows(e[i] - e[j], "ranking enumeration"))
     s = points @ e.T
     order = np.argsort(-s, axis=1)
     ranked = np.take_along_axis(s, order, axis=1)

@@ -25,6 +25,8 @@ from .models import ENCODERS, ModelParams, Scorer, encode, init_model, state_arr
 from .mos import MosParams, init_mos, mixture_states
 
 OUTPUT_LAYERS = ("softmax", "mos")
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # glibc's mallopt parameter numbers, from malloc.h
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -100,20 +102,17 @@ def batch_loss(
 
 
 class Adam:
-    """Adam with bias correction; update order follows the param list.
+    """Adam with bias correction, at the fixed ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS; update order follows the param list.
 
     The step runs in place: two scratch arrays sized to the largest
     parameter, shared by all parameters, hold its temporaries, with the
     operations in the order of the textbook formula, so every value is
     bitwise what m_hat / (sqrt(v_hat) + eps) computed with fresh arrays."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -125,7 +124,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if not np.isfinite(g).all():
@@ -146,7 +145,7 @@ class Adam:
             a *= self.lr
             np.divide(v, 1 - b2**self.t, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
             p.value -= a
 
@@ -176,7 +175,10 @@ def _keep_freed_heap():
     at 64 MiB, for the whole process.  glibc raises both only when it frees
     a large mmapped chunk; with no such chunk in a batch, it hands the heap
     top back to the system after every batch and page-faults it in again
-    in the next.  Does nothing where libc has no mallopt."""
+    in the next.  A loss buffer reused across batches does not replace
+    this: with no large chunk ever freed, the mmap threshold stays at its
+    128 KiB start, and every larger tape array is mapped anew.  Does
+    nothing where libc has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):

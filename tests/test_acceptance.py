@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from kgmix import autodiff, models
-from kgmix.autodiff import BatchNormState, Parameter, Tape, finite_difference_check
+from kgmix.autodiff import BatchNormState, Parameter, Tape
 from kgmix.evaluate import filtered_nll, ranking_metrics
 from kgmix.graph import TripleStore, dataset_stats, load_triples, query_labels
 from kgmix.models import Scorer, init_model
@@ -32,6 +32,7 @@ from kgmix.theory import (
     verify_sign_decomposition,
 )
 from kgmix.train import TrainConfig, batch_loss, train_loop
+from gradcheck import finite_difference_check
 
 FD_TOL = 1e-5
 FD_TOL_BN = 1e-4

@@ -14,9 +14,9 @@ from kgmix.autodiff import (
     Parameter,
     Tape,
     exp_shifted_rows,
-    finite_difference_check,
     xavier_uniform,
 )
+from gradcheck import finite_difference_check
 from kgmix.mos import head_log_probs
 
 FD_TOL = 1e-5

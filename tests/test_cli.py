@@ -397,14 +397,16 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
 def test_analyze_decompose_dataset(toy_dir):
     out = run_json([
         "analyze", "decompose", "--dataset", toy_dir, "--epsilon", "1/3",
-        "--no-merge",
     ])
     # union adjacency of the toy graph: 10 query pairs over 6 entities,
     # max out-degree 2
     assert out["rows"] == 10 and out["cols"] == 6
     assert out["degree_cap"] == 2 and out["width"] == 5
     assert out["verified"] is True and out["rational_checked"] is True
-    assert out["merged_blocks"] is False
+    assert sorted(out) == [
+        "cols", "degree_cap", "epsilon", "mismatches", "rational_checked", "rows",
+        "verified", "width",
+    ]
 
 
 # Eight entities, two relations, a test triple repeated from valid, and an
@@ -464,7 +466,6 @@ DEGREE_GRAPH_DECOMPOSE = (
     '  "cols": 8,\n'
     '  "degree_cap": 4,\n'
     '  "epsilon": "1/2",\n'
-    '  "merged_blocks": true,\n'
     '  "mismatches": 0,\n'
     '  "rational_checked": true,\n'
     '  "rows": 16,\n'

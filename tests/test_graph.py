@@ -245,7 +245,7 @@ def test_sufficient_dim_values():
     assert sufficient_dim(2) == 5
     assert sufficient_dim(954) == 1909
     assert sufficient_dim(4364) == 8729
-    assert sufficient_dim(DegreeStats(1, 1, 1.0, 1.0, 15036)) == 30073
+    assert sufficient_dim(15036) == 30073
     with pytest.raises(ValueError):
         sufficient_dim(-1)
 

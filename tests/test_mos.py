@@ -1,7 +1,9 @@
 """Mixture output layer: prior arithmetic, exact K=1 collapse to a single
 softmax, normalization, the numpy inference head against log-space
-references (extreme logits included), and the log-probability rank
-ceiling it breaks."""
+references (extreme logits included) and its memory, and the
+log-probability rank ceiling it breaks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ def test_k1_mixture_is_exactly_one_softmax(rng):
     e = rng.standard_normal((n, d))
     got = mixture_head(mix, h, e)
     t2 = Tape()
-    hk = project(mix, mix.components[0], t2.constant(h), t2)
+    hk = project(mix.components[0], t2.constant(h), t2)
     want = t2.row_log_softmax(t2.matmul(hk, t2.constant(e))).value
     assert np.array_equal(got, want)
 
@@ -106,7 +108,7 @@ def test_identical_components_collapse(rng):
     e = rng.standard_normal((n, d))
     got = mixture_head(mix, h, e)
     t2 = Tape()
-    hk = project(mix, first, t2.constant(h), t2)
+    hk = project(first, t2.constant(h), t2)
     want = t2.row_log_softmax(t2.matmul(hk, t2.constant(e))).value
     # priors still vary but every component says the same thing
     assert np.abs(got - want).max() <= 1e-12
@@ -179,11 +181,33 @@ def test_head_rejects_log_priors_not_shaped_batch_by_k():
     assert head_log_probs(states, e, np.log(np.full((3, 2), 0.5))).shape == (3, 4)
 
 
+@pytest.mark.parametrize("prior", [False, True])
+def test_single_component_head_holds_two_blocks(prior):
+    """One state, with or without a (b, 1) log-prior: the score block and
+    one scratch block at the peak, and the values of the two-pass formula
+    z - (max + log sum exp(z - max)) plus the log-prior, bit for bit."""
+    rng = np.random.default_rng(12)
+    h, e = rng.standard_normal((256, 6)), rng.standard_normal((4000, 6))
+    log_pi = np.log(rng.uniform(0.5, 1.0, (256, 1))) if prior else None
+    block = 256 * 4000 * 8
+    tracemalloc.start()
+    try:
+        out = head_log_probs([h], e, log_pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
+    z = h @ e.T
+    mx = z.max(axis=1, keepdims=True)
+    want = z - (mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True)))
+    assert np.array_equal(out, want if log_pi is None else want + log_pi)
+
+
 def test_project_training_dropout_needs_rng(rng):
     mix = init_mos(1, 2, np.random.default_rng(8))
     t = Tape()
     with pytest.raises(ValueError, match="rng"):
-        project(mix, mix.components[0], t.constant(rng.standard_normal((3, 2))),
+        project(mix.components[0], t.constant(rng.standard_normal((3, 2))),
                 t, training=True, dropout=0.5)
 
 

@@ -64,13 +64,10 @@ def test_sign_decompose_worked_example():
 
 def test_sign_decompose_merges_consecutive_columns():
     adj = np.array([[0, 1, 1, 1, 0]])
-    merged = sign_decompose(adj, Fraction(1, 2))
-    assert merged.rows[0].roots == [Fraction(3, 2), Fraction(9, 2)]
-    split = sign_decompose(adj, Fraction(1, 2), merge_blocks=False)
-    assert len(split.rows[0].roots) == 6  # one root pair per column
-    for dec in (merged, split):
-        assert verify_sign_decomposition(adj, dec).ok
-        assert dec.width == 2 * 3 + 1
+    dec = sign_decompose(adj, Fraction(1, 2))
+    assert dec.rows[0].roots == [Fraction(3, 2), Fraction(9, 2)]
+    assert verify_sign_decomposition(adj, dec).ok
+    assert dec.width == 2 * 3 + 1
 
 
 def test_sign_decompose_constant_rows():
@@ -118,18 +115,50 @@ def test_row_poly_coefficients_closed_form():
     assert _exact_value(poly, 1) == Fraction(1, 4)
 
 
+def _loop_rows(adj, eps):
+    """(sigma, roots) of each row, one grid point at a time: lo - eps where
+    a run of ones starts at lo and hi + eps where it ends at hi, under a
+    minus sign; an all-one row is the constant +1."""
+    out = []
+    for row in adj.tolist():
+        if all(row):
+            out.append((1, []))
+            continue
+        roots = []
+        for t in range(1, len(row) + 1):
+            if row[t - 1] and (t == 1 or not row[t - 2]):
+                roots.append(Fraction(t) - eps)
+            if row[t - 1] and (t == len(row) or not row[t]):
+                roots.append(Fraction(t) + eps)
+        out.append((-1, roots))
+    return out
+
+
+def _isolate(adj):
+    """adj with its columns spread onto every other column, so each
+    neighbor is a run of its own and a row with r neighbors gets 2r roots."""
+    wide = np.zeros((adj.shape[0], 2 * adj.shape[1]), dtype=adj.dtype)
+    wide[:, ::2] = adj
+    return wide
+
+
 @pytest.mark.parametrize("epsilon", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)])
-@pytest.mark.parametrize("merge", [True, False])
-def test_sign_decompose_random_adjacencies(epsilon, merge):
+@pytest.mark.parametrize("isolated", [True, False])
+def test_sign_decompose_random_adjacencies(epsilon, isolated):
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(1, 9))
         adj = random_adjacency(n, m, int(rng.integers(0, 5)), rng)
-        dec = sign_decompose(adj, epsilon, merge_blocks=merge)
+        if isolated:
+            adj = _isolate(adj)
+        dec = sign_decompose(adj, epsilon)
         ver = verify_sign_decomposition(adj, dec)
         assert ver.ok and ver.rational_checked, (adj, ver.mismatches)
         assert np.array_equal(dec.sign_matrix(), 2 * adj - 1)
+        assert [(r.sigma, r.roots) for r in dec.rows] == _loop_rows(adj, epsilon)
+        if isolated:  # every row at degree 2r, so the widest at 2c
+            assert [len(r.roots) for r in dec.rows] == (2 * adj.sum(axis=1)).tolist()
 
 
 def test_verify_detects_tampering():
@@ -210,16 +239,18 @@ def _assert_matches_loops(adj, dec):
 @pytest.mark.parametrize(
     "epsilon", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(2, 7)]
 )
-@pytest.mark.parametrize("merge", [True, False])
-def test_verify_matches_scalar_loops(epsilon, merge):
+@pytest.mark.parametrize("isolated", [True, False])
+def test_verify_matches_scalar_loops(epsilon, isolated):
     rng = np.random.default_rng(31)
     for _ in range(40):
         n, m = int(rng.integers(1, 10)), int(rng.integers(1, 13))
         adj = random_adjacency(n, m, int(rng.integers(0, 6)), rng)
+        if isolated:
+            adj = _isolate(adj)
         adj[0] = 1  # one constant +1 row and, below, one constant -1 row
         if n > 1:
             adj[-1] = 0
-        dec = sign_decompose(adj, epsilon, merge_blocks=merge)
+        dec = sign_decompose(adj, epsilon)
         ver = _assert_matches_loops(adj, dec)
         assert ver.ok
 
@@ -394,8 +425,15 @@ def test_sign_matrix_at_degree_two_thousand():
 
 
 def test_sign_decompose_validation():
-    with pytest.raises(ValueError, match="0 or 1"):
-        sign_decompose(np.array([[0, 2]]))
+    for bad in ([[0, 2]], [[0.5, 1.0]], [[np.nan, 1.0]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            sign_decompose(np.array(bad))
+        with pytest.raises(ValueError, match="0 or 1"):
+            verify_sign_decomposition(np.array(bad), sign_decompose(np.array([[1, 0]])))
+    for good in (np.array([[True, False]]), np.array([[1.0, 0.0]])):
+        dec = sign_decompose(good)
+        assert dec.rows == sign_decompose(np.array([[1, 0]])).rows
+        assert verify_sign_decomposition(good, dec).ok
     with pytest.raises(ValueError, match="2-D"):
         sign_decompose(np.array([0, 1]))
     for eps in (0, 1, Fraction(-1, 2), Fraction(3, 2)):

@@ -213,7 +213,7 @@ def test_adam_matches_scalar_reference():
         want.append(x)
 
     p = Parameter("p", np.array([[1.0]]))
-    opt = Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam([p], lr=lr)
     got = []
     for g in grads:
         p.zero_grad()
@@ -233,7 +233,7 @@ def test_adam_in_place_step_is_bitwise_the_textbook_formula():
     want = [p.value.copy() for p in params]
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
-    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(params, lr=lr)
     for t in range(1, 6):
         for i, p in enumerate(params):
             g = rng.standard_normal(p.shape)
